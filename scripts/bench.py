@@ -25,11 +25,7 @@ per-bench seconds, per-run ``wall_seconds``) so performance can be
 tracked across commits instead of only gated against the latest
 baseline; every append prunes the trajectory to the last
 ``TRAJECTORY_KEEP_PER_MODE`` runs of each mode (run numbers stay
-monotonic), which also migrates unbounded pre-existing files.  A
-pre-trajectory single-run document is migrated in place as run 1, and
-runs recorded under the old schema (``total_seconds`` on every run,
-including profile-mode runs whose wall time is not a suite total) are
-migrated to the ``wall_seconds`` schema on append.
+monotonic), which also caps unbounded pre-existing files.
 
 Benches that call the ``throughput`` fixture additionally record how
 much simulated work the measured seconds bought — protocol exchanges
@@ -37,7 +33,7 @@ and simulated virtual time — and the trajectory stores the derived
 rates (``exchanges_per_s``, ``sim_hours_per_s``).  Those rates are
 gated against the trajectory itself: the median of the last runs *of
 the same mode* (smoke compares against smoke only — full-suite and
-profile runs never contaminate the baseline).  The comparison happens
+matrix runs never contaminate the baseline).  The comparison happens
 in the seconds domain (``exchanges / median_rate`` is the time this
 run's work should have taken) so the same tolerance + floor semantics
 as the baseline gate apply.
@@ -73,7 +69,6 @@ from typing import Dict, List, Optional, Tuple
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.analysis.profile import migrate_trajectory_runs  # noqa: E402
 BENCH_DIR = REPO_ROOT / "benchmarks"
 DEFAULT_OUT = REPO_ROOT / "BENCH_obs.json"
 DEFAULT_BASELINE = BENCH_DIR / "bench-baseline.json"
@@ -190,12 +185,9 @@ def _append_trajectory(
     """Append one run to the cumulative trajectory.
 
     Returns ``(run number, prior runs)`` — the priors feed the
-    throughput gate.  An existing pre-trajectory (single-run
-    ``mntp-bench-v1``) document at ``path`` is migrated in place as
-    run 1, and old-schema runs gain ``wall_seconds`` (profile runs
-    drop their misleading ``total_seconds``) via
-    :func:`repro.analysis.profile.migrate_trajectory_runs`.  The
-    stored trajectory is pruned to the last
+    throughput gate.  A file at ``path`` that is not a trajectory
+    document is replaced by a fresh trajectory.  The stored trajectory
+    is pruned to the last
     :data:`TRAJECTORY_KEEP_PER_MODE` runs per mode (run numbers keep
     counting up), which caps unbounded pre-existing files too.
     ``extra`` keys merge into the run entry verbatim — the matrix mode
@@ -208,21 +200,12 @@ def _append_trajectory(
                 existing = json.load(f)
         except (OSError, json.JSONDecodeError):
             existing = None
-        if isinstance(existing, dict):
-            if existing.get("format") == TRAJECTORY_FORMAT:
-                runs = list(existing.get("runs", []))
-            elif existing.get("format") == BENCH_FORMAT:
-                benches = {
-                    str(k): float(v)
-                    for k, v in existing.get("benches", {}).items()
-                }
-                runs = [{
-                    "run": 1,
-                    "mode": "unknown",
-                    "benches": benches,
-                    "total_seconds": round(sum(benches.values()), 3),
-                }]
-    runs = _prune_runs(migrate_trajectory_runs(runs))
+        if (
+            isinstance(existing, dict)
+            and existing.get("format") == TRAJECTORY_FORMAT
+        ):
+            runs = list(existing.get("runs", []))
+    runs = _prune_runs(runs)
     priors = list(runs)
     number = max(
         (int(run.get("run", 0)) for run in runs), default=0
@@ -397,7 +380,7 @@ def _compare_throughput(
     For each bench with recorded throughput, the baseline rate is the
     median ``exchanges_per_s`` over the last ``THROUGHPUT_WINDOW``
     prior runs of the *same mode* (smoke-vs-smoke only; full and
-    profile runs never enter a smoke baseline).  The verdict happens
+    matrix runs never enter a smoke baseline).  The verdict happens
     in the seconds domain: this run's exchange count divided by the
     baseline rate is the time the work should have taken, and the
     usual ``* (1 + tolerance) + floor`` slack applies.

@@ -13,30 +13,16 @@ cd "$(dirname "$0")/.."
 
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
-echo "== repro-mntp lint (domain static analysis, src)"
-# Warm runs hit the content-hash cache (.repro-lint-cache.json) and
-# skip re-parsing unchanged files entirely.
+echo "== repro-mntp lint (all rules, src)"
+# Every shipped rule, including the hot-closure telemetry rule (OBS003)
+# and the CFG resource-typestate rules (RES).  Warm runs hit the
+# content-hash cache (.repro-lint-cache.json) and skip re-parsing
+# unchanged files entirely.
 python -m repro.analysis src
 
-echo "== repro-mntp lint (determinism rules, tests)"
-python -m repro.analysis tests --select DET001,DET002,DET003,DET004 --no-baseline
-
-echo "== repro-mntp lint (hot-path perf + parallel readiness, src)"
-# The tentpole gate: no unbaselined per-iteration cost in the sim hot
-# closure, no shared mutable state that would break a shard split, and
-# no telemetry emission bypassing the ring-buffer sink in hot code.
-python -m repro.analysis src \
-    --select PERF001,PERF002,PERF003,PERF004,CONC001,CONC002,CONC003,OBS003 \
-    --no-baseline
-
-echo "== repro-mntp lint (CFG dataflow: resource typestate + precision, src + tests)"
-# Phase 1.5 gate: no span/telemetry/file handle leaked on any path,
-# no _ns/_us precision lost to float windows, 16.16 truncation,
-# era-unsafe NTP compares, or collapsing division chains.  Runs with
-# --jobs/--stats so per-phase timing lands in CI logs.
-python -m repro.analysis src tests \
-    --select RES001,RES002,RES003,PREC001,PREC002,PREC003,PREC004 \
-    --no-baseline --jobs 4 --stats
+echo "== repro-mntp lint (determinism + resource rules, tests)"
+python -m repro.analysis tests \
+    --select DET001,DET002,DET003,DET004,RES001,RES002,RES003
 
 if python -m ruff --version >/dev/null 2>&1; then
     echo "== ruff"
@@ -87,15 +73,6 @@ if [[ "${1:-}" != "--fast" ]]; then
     # to the BENCH_obs.json trajectory.  Exit 1 on any hard-failed
     # spec; see docs/SCENARIOS.md.
     python scripts/bench.py --matrix scenarios
-
-    echo "== profile harness (smoke)"
-    # Writes benchmarks/profile-smoke.json (git-ignored) and appends a
-    # profile run to the BENCH_obs.json trajectory.
-    python -m repro.cli profile --smoke
-
-    echo "== lint --profile (hot-path report ranked by measured cost)"
-    python -m repro.analysis src --profile benchmarks/profile-smoke.json \
-        --hot-report
 fi
 
 echo "== all checks passed"

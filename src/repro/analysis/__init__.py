@@ -13,15 +13,9 @@ neither is checked by the interpreter:
 This package enforces both (plus a few generic correctness rules) as an
 AST-based lint, runnable as ``repro-mntp lint`` or
 ``python -m repro.analysis``.  See ``docs/STATIC_ANALYSIS.md`` for the
-rule catalogue and the suppression/baseline workflow.
+rule catalogue and inline suppressions.
 """
 
-from repro.analysis.baseline import (
-    BaselineMatch,
-    load_baseline,
-    match_baseline,
-    write_baseline,
-)
 from repro.analysis.engine import (
     AnalysisResult,
     Engine,
@@ -29,10 +23,9 @@ from repro.analysis.engine import (
     ProjectRule,
     Rule,
     SourceModule,
-    fingerprint_findings,
     load_source,
 )
-from repro.analysis.reporting import render_human, render_json, render_sarif
+from repro.analysis.reporting import render_human, render_json
 from repro.analysis.rules import all_project_rules, all_rules
 
 
@@ -50,7 +43,6 @@ def check_source(text, *, module="sample", path="<memory>", select=None,
 
 __all__ = [
     "AnalysisResult",
-    "BaselineMatch",
     "Engine",
     "Finding",
     "ProjectRule",
@@ -59,12 +51,7 @@ __all__ = [
     "all_project_rules",
     "all_rules",
     "check_source",
-    "fingerprint_findings",
-    "load_baseline",
     "load_source",
-    "match_baseline",
     "render_human",
     "render_json",
-    "render_sarif",
-    "write_baseline",
 ]

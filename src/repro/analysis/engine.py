@@ -6,11 +6,8 @@ once and hands the tree to every enabled per-file rule.  A
 :class:`ProjectRule` runs in a second, whole-program phase over the
 :class:`repro.analysis.flow.project.Project` built from every analysed
 module's flow summary, so it can see across call and module boundaries.
-Findings carry a ``file:line:col`` anchor plus a line-independent
-*fingerprint* used by the baseline machinery (see
-:mod:`repro.analysis.baseline`); cross-file findings additionally name
-their far *endpoint* (``path::qualname``), which participates in the
-fingerprint so either end moving invalidates a baseline entry.
+Findings carry a ``file:line:col`` anchor; cross-file findings
+additionally name their far *endpoint* (``path::qualname``).
 
 Inline suppression follows the codebase convention::
 
@@ -18,9 +15,10 @@ Inline suppression follows the codebase convention::
 
 A bare ``# repro: noqa`` (no rule list) suppresses every rule on that
 line.  Suppressions apply to the physical line the finding is anchored
-to.  A malformed rule list (unclosed bracket, empty brackets, stray
-separators) suppresses *nothing* and is surfaced as a warning — a typo
-must never silently widen a suppression.
+to, and are the only way to accept a finding.  A malformed rule list
+(unclosed bracket, empty brackets, stray separators) suppresses
+*nothing* and is surfaced as a warning — a typo must never silently
+widen a suppression.
 """
 
 from __future__ import annotations
@@ -31,20 +29,11 @@ import re
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import (
-    Any,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 #: Bumped whenever findings, summaries, or rule semantics change shape;
 #: part of the incremental cache key so stale caches self-invalidate.
-TOOL_VERSION = "4.0"
+TOOL_VERSION = "5.0"
 
 #: Matches ``# repro: noqa`` with an optional ``[RULE1,RULE2]`` list.
 _NOQA_RE = re.compile(r"#\s*repro:\s*noqa(?P<rest>\[[^\]]*\])?")
@@ -109,24 +98,6 @@ class Finding:
             col=data["col"], message=data["message"],
             endpoint=data.get("endpoint", ""),
         )
-
-
-#: A line-independent identity for a finding: (rule, path, message,
-#: endpoint, occurrence index among identical tuples, ordered by line).
-#: Stable across unrelated edits that merely shift line numbers.
-Fingerprint = Tuple[str, str, str, str, int]
-
-
-def fingerprint_findings(findings: Iterable[Finding]) -> List[Fingerprint]:
-    """Fingerprints for ``findings``, occurrence-indexed in line order."""
-    counts: Dict[Tuple[str, str, str, str], int] = {}
-    prints: List[Fingerprint] = []
-    for f in sorted(findings, key=lambda f: (f.path, f.line, f.col, f.rule)):
-        key = (f.rule, f.path, f.message, f.endpoint)
-        index = counts.get(key, 0)
-        counts[key] = index + 1
-        prints.append((f.rule, f.path, f.message, f.endpoint, index))
-    return prints
 
 
 @dataclass
@@ -262,16 +233,11 @@ class Rule(ast.NodeVisitor):
 
     Subclasses set :attr:`rule_id` and :attr:`summary`, then override
     ``visit_*`` methods (or :meth:`run` for whole-module checks) and call
-    :meth:`report` for each diagnostic.  The optional catalogue fields
-    (:attr:`rationale`, :attr:`example`, :attr:`fix_hint`) feed
-    ``lint --explain``.
+    :meth:`report` for each diagnostic.
     """
 
     rule_id: str = ""
     summary: str = ""
-    rationale: str = ""   # why the rule exists (one short paragraph)
-    example: str = ""     # a minimal violating snippet
-    fix_hint: str = ""    # how to repair a finding
 
     def __init__(self, module: SourceModule) -> None:
         self.module = module
@@ -300,15 +266,11 @@ class ProjectRule:
 
     Subclasses set :attr:`rule_id` and :attr:`summary` and implement
     :meth:`run` over ``self.project``, a
-    :class:`repro.analysis.flow.project.Project`.  The optional
-    catalogue fields mirror :class:`Rule`'s.
+    :class:`repro.analysis.flow.project.Project`.
     """
 
     rule_id: str = ""
     summary: str = ""
-    rationale: str = ""
-    example: str = ""
-    fix_hint: str = ""
 
     def __init__(self, project: Any) -> None:
         self.project = project
@@ -340,9 +302,6 @@ class ProjectRule:
 class AnalysisResult:
     """Everything one engine run produced.
 
-    ``project`` is the phase-two :class:`~repro.analysis.flow.project.
-    Project` when interprocedural rules ran (``None`` otherwise); it is
-    never serialized, but the CLI uses it for the hot-path report.
     ``stats`` carries per-phase timings and cache hit counts for
     ``lint --stats``.
     """
@@ -351,7 +310,6 @@ class AnalysisResult:
     errors: List[str] = field(default_factory=list)   # unreadable/unparsable files
     warnings: List[str] = field(default_factory=list)  # e.g. malformed noqa
     files_checked: int = 0
-    project: Optional[Any] = None
     stats: Dict[str, Any] = field(default_factory=dict)
 
 
@@ -545,7 +503,6 @@ class Engine:
                 summaries,
                 _reference_tokens(reference_roots, analysed=paths),
             )
-            result.project = project
             for rule_cls in self._project_rules.values():
                 for f in rule_cls(project).run():
                     if not _suppressed(f, noqa_by_path.get(f.path, {})):

@@ -10,7 +10,7 @@ transitive effect sets — that the interprocedural rules in
 Phase 1.5 (:mod:`~repro.analysis.flow.cfg` +
 :mod:`~repro.analysis.flow.dataflow`) sits between them: per-function
 control-flow graphs and a generic fixpoint solver, consumed by the
-path-sensitive RES/PREC rule families.
+path-sensitive RES rule family.
 """
 
 from repro.analysis.flow.cfg import (
@@ -26,15 +26,9 @@ from repro.analysis.flow.dataflow import (
     Analysis,
     each_item_state,
     exit_edge_states,
-    solve_backward,
     solve_forward,
 )
-from repro.analysis.flow.hot import (
-    HOT_ROOTS,
-    SHARD_PACKAGES,
-    hot_closure,
-    render_hot_report,
-)
+from repro.analysis.flow.hot import HOT_ROOTS, hot_closure
 from repro.analysis.flow.project import (
     ClassEntry,
     EffectPath,
@@ -49,10 +43,8 @@ from repro.analysis.flow.summary import (
     ClassInfo,
     EffectSite,
     FunctionInfo,
-    ModuleGlobal,
     ModuleSummary,
-    MutationSite,
-    PerfSite,
+    ObsSite,
     summarize,
 )
 
@@ -68,7 +60,6 @@ __all__ = [
     "each_item_state",
     "exit_edge_states",
     "function_cfgs",
-    "solve_backward",
     "solve_forward",
     "AssignFromCall",
     "CallSite",
@@ -80,13 +71,9 @@ __all__ = [
     "FunctionInfo",
     "HOT_ROOTS",
     "MODULE_BODY",
-    "ModuleGlobal",
     "ModuleSummary",
-    "MutationSite",
-    "PerfSite",
+    "ObsSite",
     "Project",
-    "SHARD_PACKAGES",
     "hot_closure",
-    "render_hot_report",
     "summarize",
 ]

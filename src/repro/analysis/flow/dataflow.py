@@ -8,9 +8,8 @@ this is the path-sensitive half) and a ``widen`` operator for lattices
 of unbounded height (interval analysis).
 
 :func:`solve_forward` runs the classic worklist algorithm to a
-fixpoint and returns the state at entry of every reachable block;
-:func:`solve_backward` is its mirror over reversed edges.  Blocks the
-fixpoint never reaches are absent from the result — rules should treat
+fixpoint and returns the state at entry of every reachable block.
+Blocks the fixpoint never reaches are absent from the result — rules should treat
 absence as "unreachable" and stay silent there.
 
 After solving, :func:`each_item_state` replays the transfer function
@@ -30,7 +29,6 @@ __all__ = [
     "Analysis",
     "each_item_state",
     "exit_edge_states",
-    "solve_backward",
     "solve_forward",
 ]
 
@@ -84,62 +82,21 @@ def _block_out(analysis: Analysis, block: Block, state: Any) -> Any:
 
 def solve_forward(cfg: CFG, analysis: Analysis) -> Dict[int, Any]:
     """Entry states of every reachable block, at the least fixpoint."""
-    return _solve(cfg, analysis, cfg.entry, _forward_edges(cfg))
-
-
-def solve_backward(cfg: CFG, analysis: Analysis) -> Dict[int, Any]:
-    """Exit-facing states per block, solving over reversed edges.
-
-    Block items are fed to ``transfer`` in reverse order, so the
-    returned mapping holds the state *after* each block for a
-    liveness-style analysis.
-    """
-    reversed_edges: Dict[int, List[Edge]] = {}
-    for edge in cfg.edges:
-        reversed_edges.setdefault(edge.dst, []).append(edge)
-    reversed_cfg_blocks = {b.id: Block(b.id, list(reversed(b.items)))
-                           for b in cfg.blocks}
-
-    def out_edges(block_id: int) -> List[Tuple[Edge, int]]:
-        return [(e, e.src) for e in reversed_edges.get(block_id, [])]
-
-    return _solve_generic(
-        blocks=reversed_cfg_blocks, analysis=analysis,
-        start=cfg.exit_id, out_edges=out_edges,
-    )
-
-
-def _forward_edges(cfg: CFG):
-    by_src: Dict[int, List[Edge]] = {}
-    for edge in cfg.edges:
-        by_src.setdefault(edge.src, []).append(edge)
-
-    def out_edges(block_id: int) -> List[Tuple[Edge, int]]:
-        return [(e, e.dst) for e in by_src.get(block_id, [])]
-
-    return out_edges
-
-
-def _solve(cfg: CFG, analysis: Analysis, start: int, out_edges) -> Dict[int, Any]:
     blocks = {b.id: b for b in cfg.blocks}
-    return _solve_generic(
-        blocks=blocks, analysis=analysis, start=start, out_edges=out_edges,
-    )
-
-
-def _solve_generic(
-    *, blocks: Dict[int, Block], analysis: Analysis, start: int, out_edges
-) -> Dict[int, Any]:
-    state_in: Dict[int, Any] = {start: analysis.initial()}
+    out_edges: Dict[int, List[Edge]] = {}
+    for edge in cfg.edges:
+        out_edges.setdefault(edge.src, []).append(edge)
+    state_in: Dict[int, Any] = {cfg.entry: analysis.initial()}
     visits: Dict[int, int] = {}
-    worklist: List[int] = [start]
+    worklist: List[int] = [cfg.entry]
     budget = _MAX_STEPS_PER_BLOCK * max(len(blocks), 1)
     steps = 0
     while worklist and steps < budget:
         steps += 1
         block_id = worklist.pop(0)
         out = _block_out(analysis, blocks[block_id], state_in[block_id])
-        for edge, target in out_edges(block_id):
+        for edge in out_edges.get(block_id, []):
+            target = edge.dst
             incoming = analysis.transfer_edge(edge, out)
             if target not in state_in:
                 state_in[target] = incoming

@@ -3,11 +3,11 @@
 The simulator's cost concentrates in a small set of per-event code:
 the event-dispatch loop itself, link/wireless sampling, and the per
 exchange MNTP/SNTP handlers.  :data:`HOT_ROOTS` names those entry
-points; :func:`hot_closure` walks the PR 5 call graph from them (plus
+points; :func:`hot_closure` walks the project call graph from them (plus
 any function annotated ``# repro: hot``) and returns every reachable
-function with a witness chain back to its root.  The PERF rules only
-report inside this closure — a comprehension in a report formatter is
-fine; the same comprehension in the wireless sampler is not.
+function with a witness chain back to its root.  OBS003 only reports
+inside this closure — a direct TraceLog write in a report formatter is
+fine; the same write in the wireless sampler is not.
 
 The static graph cannot follow the event queue's dynamic dispatch
 (``event.callback()``), which is why the roots enumerate the handlers
@@ -18,12 +18,10 @@ New hot entry points are added with a ``# repro: hot`` comment on the
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from repro.analysis.engine import Finding
 from repro.analysis.flow.project import Project
 from repro.analysis.flow.summary import MODULE_BODY
-from repro.analysis.rules.determinism import SIMULATION_PACKAGES
 
 #: Statically-known entry points of the simulator inner loop.
 HOT_ROOTS: Tuple[str, ...] = (
@@ -43,16 +41,8 @@ HOT_ROOTS: Tuple[str, ...] = (
     "repro.core.protocol.Mntp._handle_offset",
 )
 
-#: Packages that will live inside simulator shards once the event loop
-#: splits across processes (ROADMAP #1); the CONC rules police shared
-#: state here.  A superset of the determinism scope: the net/faults/
-#: testbed layers run inside the loop even though DET rules exempt them.
-SHARD_PACKAGES = frozenset(SIMULATION_PACKAGES) | {
-    "net", "faults", "testbed",
-}
-
-#: Cap on witness-chain hops shown in messages (fingerprints include
-#: the message, so chains must stay short and stable).
+#: Cap on witness-chain hops shown in messages (keeps them short and
+#: stable).
 _CHAIN_SHOWN = 4
 
 
@@ -109,86 +99,3 @@ def chain_label(chain: List[str]) -> str:
     if len(chain) > _CHAIN_SHOWN:
         shown = chain[: _CHAIN_SHOWN - 1] + ["...", chain[-1]]
     return "hot via " + " -> ".join(shown)
-
-
-# ---------------------------------------------------------------------------
-# ranked hot-path report
-
-
-def render_hot_report(
-    project: Project, profile: Optional[Any] = None, top: int = 15
-) -> str:
-    """The ranked hot-closure table for ``lint --hot-report/--profile``.
-
-    Without a profile, rows order by closure depth (roots first) then
-    name — the static picture.  With one (see
-    :mod:`repro.analysis.profile`), rows order by measured cumulative
-    time, so the report reflects where the smoke scenario actually
-    spends its cycles.
-    """
-    closure = hot_closure(project)
-    rows = []
-    for full, chain in closure.items():
-        entry = project.functions[full]
-        ncalls, cum_s = 0, 0.0
-        if profile is not None:
-            sample = profile.lookup(entry.module.path, entry.info.name)
-            if sample is not None:
-                ncalls = sample["ncalls"]
-                cum_s = sample["cumtime_s"]
-        rows.append((full, chain, ncalls, cum_s))
-    if profile is not None:
-        rows.sort(key=lambda r: (-r[3], -r[2], r[0]))
-    else:
-        rows.sort(key=lambda r: (len(r[1]), r[0]))
-    lines = [
-        f"hot closure: {len(closure)} function(s) from "
-        f"{sum(1 for c in closure.values() if len(c) == 1)} root(s)"
-        + ("" if profile is None else f", ranked by {profile.describe()}")
-    ]
-    for full, chain, ncalls, cum_s in rows[:top]:
-        if profile is not None:
-            lines.append(
-                f"  {cum_s:8.3f}s {ncalls:>9}x  {full}"
-            )
-        else:
-            lines.append(f"  depth {len(chain):>2}  {full}")
-    if len(rows) > top:
-        lines.append(f"  ... {len(rows) - top} more (use --hot-top)")
-    return "\n".join(lines)
-
-
-def rank_findings_by_profile(
-    findings: List[Finding], project: Optional[Project], profile: Any
-) -> List[Finding]:
-    """Order findings by the measured cost of their enclosing function.
-
-    Findings outside the profile (or outside any known function) keep
-    their relative position after the measured ones, still sorted by
-    location, so the output stays deterministic.
-    """
-    if project is None:
-        return list(findings)
-
-    def weight(f: Finding) -> Tuple[float, int, str, int, int, str]:
-        cum_s, ncalls = 0.0, 0
-        entry = _enclosing(project, f.path, f.line)
-        if entry is not None:
-            sample = profile.lookup(entry.module.path, entry.info.name)
-            if sample is not None:
-                ncalls = sample["ncalls"]
-                cum_s = sample["cumtime_s"]
-        return (-cum_s, -ncalls, f.path, f.line, f.col, f.rule)
-
-    return sorted(findings, key=weight)
-
-
-def _enclosing(project: Project, path: str, line: int):
-    best = None
-    for full, entry in project.functions.items():
-        if entry.module.path != path or entry.info.qualname == MODULE_BODY:
-            continue
-        if entry.info.lineno <= line:
-            if best is None or entry.info.lineno > best.info.lineno:
-                best = entry
-    return best

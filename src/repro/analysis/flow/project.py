@@ -39,7 +39,6 @@ class FunctionEntry:
 
     info: FunctionInfo
     module: ModuleSummary
-    class_name: Optional[str] = None
 
     @property
     def full(self) -> str:
@@ -53,7 +52,7 @@ class FunctionEntry:
         return f"{self.module.dotted()}.{self.info.qualname}"
 
     def endpoint(self) -> str:
-        """Baseline endpoint string: ``path::qualname``."""
+        """Finding endpoint string: ``path::qualname``."""
         return f"{self.module.path}::{self.info.qualname}"
 
 
@@ -102,8 +101,6 @@ class Project:
                 self.classes[entry.full] = entry
             for fn in summary.functions:
                 entry = FunctionEntry(info=fn, module=summary)
-                if fn.is_method:
-                    entry.class_name = fn.qualname.split(".", 1)[0]
                 self.functions[entry.full] = entry
                 if fn.qualname != MODULE_BODY:
                     self._by_name.setdefault(fn.name, []).append(entry.full)

@@ -461,24 +461,6 @@ class SpanLeakRule(_ResourceRule):
         "every path out of the function (or managed by 'with'); an "
         "unclosed span silently drops its trace record"
     )
-    rationale = (
-        "A span only emits its trace record at .end(); leaking it on an "
-        "early return or raise erases the trace for exactly the path "
-        "that went wrong. The check is path-sensitive: conditional "
-        "acquisition guarded by 'if span is not None' is fine, and a "
-        "handle passed onward (stored, returned, captured) transfers "
-        "ownership instead of leaking."
-    )
-    example = (
-        "span = tracer.begin('work')\n"
-        "if cond:\n"
-        "    return early   # span never ends on this path\n"
-        "span.end()"
-    )
-    fix_hint = (
-        "Use 'with tracer.span(...):', or end the span in a finally/"
-        "catch-all handler so every exit path closes it."
-    )
 
 
 @register
@@ -488,23 +470,6 @@ class RingFlushRule(_ResourceRule):
         "a locally constructed Telemetry/RingBufferSink must be "
         "flush()-ed (or handed off) on every exit path; staged records "
         "are lost otherwise"
-    )
-    rationale = (
-        "Ring-buffered telemetry stages records in memory and only "
-        "writes them out on flush(); a function that constructs a "
-        "local sink and leaves without flushing drops the staged tail "
-        "of the run — usually the most interesting part."
-    )
-    example = (
-        "tel = Telemetry()\n"
-        "tel.emit('tick', {})\n"
-        "if cond:\n"
-        "    return        # staged records dropped\n"
-        "tel.flush()"
-    )
-    fix_hint = (
-        "flush() (or close()) in a finally, or hand the sink to an "
-        "owner that manages its lifecycle."
     )
 
 
@@ -516,15 +481,3 @@ class FileHandleRule(_ResourceRule):
         "on every path); bare open() leaks the descriptor on early "
         "returns and error branches"
     )
-    rationale = (
-        "A descriptor leaked per call adds up fast in a long-running "
-        "service (ROADMAP #5) and under the process fan-out; CPython's "
-        "refcounting hides the bug locally and ships it to production. "
-        "Applies to repro.* library modules only."
-    )
-    example = (
-        "f = open(path)\n"
-        "data = f.read()   # an exception here leaks the descriptor\n"
-        "f.close()"
-    )
-    fix_hint = "with open(path) as f: — or close() in a finally."

@@ -19,7 +19,6 @@ Exposes the main experiment flows without writing code::
     repro-mntp chaos --smoke                 # fault-matrix survival run
     repro-mntp matrix scenarios --smoke      # spec-file guarantee matrix
     repro-mntp lint src                      # domain static analysis
-    repro-mntp profile --smoke               # hot-path profile artifact
 
 Summaries print as tables by default; ``--json`` on ``run``, ``replay``
 and ``cellular`` emits machine-readable JSON instead.
@@ -310,47 +309,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "safety); see docs/STATIC_ANALYSIS.md",
     )
     add_lint_arguments(lint)
-
-    from repro.analysis.profile import (
-        DEFAULT_PROFILE_PATH,
-        DEFAULT_TRAJECTORY,
-        SMOKE_SCENARIO,
-    )
-
-    profile = sub.add_parser(
-        "profile",
-        help="run a scenario under cProfile and write a hot-path "
-        "artifact that 'lint --profile' ranks findings by",
-    )
-    profile.add_argument(
-        "--scenario", choices=sorted(SCENARIOS), default=None,
-        help=f"scenario to profile (default: {SMOKE_SCENARIO})",
-    )
-    profile.add_argument(
-        "--duration", type=float, default=None,
-        help="virtual seconds to simulate (default: the scenario's own "
-        "duration, or the reduced smoke duration with --smoke)",
-    )
-    profile.add_argument(
-        "--smoke", action="store_true",
-        help="reduced duration for the CI gate",
-    )
-    profile.add_argument(
-        "--out", metavar="PATH", default=DEFAULT_PROFILE_PATH,
-        help=f"artifact path (default: {DEFAULT_PROFILE_PATH})",
-    )
-    profile.add_argument(
-        "--top", type=int, default=10,
-        help="rows printed from the cumtime ranking (default 10)",
-    )
-    profile.add_argument(
-        "--trajectory", metavar="PATH", default=DEFAULT_TRAJECTORY,
-        help=f"bench trajectory to append to (default: {DEFAULT_TRAJECTORY})",
-    )
-    profile.add_argument(
-        "--no-trajectory", action="store_true",
-        help="skip the trajectory append",
-    )
     return parser
 
 
@@ -392,10 +350,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_matrix(args)
     if command == "lint":
         return run_lint(args)
-    if command == "profile":
-        from repro.analysis.profile import run_profile_command
-
-        return run_profile_command(args)
     return 2  # pragma: no cover - argparse enforces choices
 
 

@@ -33,7 +33,7 @@ def test_lint_src_is_clean_end_to_end(monkeypatch, capsys):
 
 def test_seeded_violation_fails_the_run(tmp_path, capsys):
     _seed_violation(tmp_path)
-    assert main(["lint", str(tmp_path), "--no-baseline"]) == 1
+    assert main(["lint", str(tmp_path)]) == 1
     out = capsys.readouterr().out
     assert "DET001" in out
     assert "bad.py" in out
@@ -41,8 +41,7 @@ def test_seeded_violation_fails_the_run(tmp_path, capsys):
 
 def test_json_format_is_machine_readable(tmp_path, capsys):
     _seed_violation(tmp_path)
-    assert main(["lint", str(tmp_path), "--no-baseline",
-                 "--format", "json"]) == 1
+    assert main(["lint", str(tmp_path), "--format", "json"]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["files_checked"] == 1
     [finding] = payload["findings"]
@@ -51,47 +50,10 @@ def test_json_format_is_machine_readable(tmp_path, capsys):
     assert payload["errors"] == []
 
 
-def test_write_baseline_then_lint_passes(tmp_path, capsys):
-    target = _seed_violation(tmp_path)
-    baseline = tmp_path / "baseline.json"
-    assert main(["lint", str(tmp_path), "--baseline", str(baseline),
-                 "--write-baseline"]) == 0
-    assert main(["lint", str(tmp_path), "--baseline", str(baseline)]) == 0
-    out = capsys.readouterr().out
-    assert "1 baselined" in out
-
-    # Fixing the violation leaves a stale entry (reported, not fatal).
-    target.write_text('"""Fixture."""\n\n\ndef f():\n    return 0.0\n')
-    assert main(["lint", str(tmp_path), "--baseline", str(baseline)]) == 0
-    assert "stale baseline entry" in capsys.readouterr().out
-
-
-def test_update_baseline_rewrites_the_file(tmp_path, capsys):
-    _seed_violation(tmp_path)
-    baseline = tmp_path / "baseline.json"
-    assert main(["lint", str(tmp_path), "--baseline", str(baseline),
-                 "--update-baseline", "--no-cache"]) == 0
-    assert "wrote" in capsys.readouterr().out
-    payload = json.loads(baseline.read_text())
-    assert payload["version"] == 2
-    assert any(e["rule"] == "DET001" for e in payload["entries"])
-    assert main(["lint", str(tmp_path), "--baseline", str(baseline),
-                 "--no-cache"]) == 0
-
-
-def test_update_baseline_refuses_partial_rule_runs(tmp_path, capsys):
-    _seed_violation(tmp_path)
-    for extra in (["--select", "DET001"], ["--ignore", "COR004"]):
-        assert main(["lint", str(tmp_path), "--update-baseline",
-                     *extra]) == 2
-        assert "refusing" in capsys.readouterr().err
-
-
 def test_select_restricts_rules(tmp_path, capsys):
     target = _seed_violation(tmp_path)
     target.write_text(target.read_text() + "\n\nimport os\n")
-    assert main(["lint", str(tmp_path), "--no-baseline",
-                 "--select", "COR004"]) == 1
+    assert main(["lint", str(tmp_path), "--select", "COR004"]) == 1
     out = capsys.readouterr().out
     assert "COR004" in out
     assert "DET001" not in out
@@ -121,9 +83,72 @@ def test_python_dash_m_entry_point(tmp_path):
         "PYTHONPATH", ""
     )
     proc = subprocess.run(
-        [sys.executable, "-m", "repro.analysis", str(tmp_path),
-         "--no-baseline"],
+        [sys.executable, "-m", "repro.analysis", str(tmp_path)],
         capture_output=True, text=True, env=env, cwd=str(tmp_path),
     )
     assert proc.returncode == 1
     assert "DET001" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# --jobs / --stats
+
+
+def _seed_tree(tmp_path):
+    """A wall-clock read (per-file phase) and a leaked span (CFG phase)."""
+    pkg = tmp_path / "repro" / "simcore"
+    pkg.mkdir(parents=True)
+    (pkg / "one.py").write_text(
+        '"""Fixture."""\n\nimport time\n\n\ndef f():\n'
+        "    return time.time()\n"
+    )
+    (pkg / "two.py").write_text(
+        '"""Fixture."""\n\n\ndef work(tracer, cond):\n'
+        '    span = tracer.begin("work")\n'
+        "    if cond:\n"
+        "        return 1\n"
+        "    span.end()\n"
+        "    return 0\n"
+    )
+
+
+def test_jobs_output_matches_serial(tmp_path, capsys):
+    _seed_tree(tmp_path)
+    base = ["lint", str(tmp_path), "--no-cache"]
+    assert main(base) == 1
+    serial = capsys.readouterr().out
+    assert main(base + ["--jobs", "2"]) == 1
+    parallel = capsys.readouterr().out
+    assert serial == parallel
+    assert "DET001" in serial
+    assert "RES001" in serial
+
+
+def test_selected_rules_are_jobs_deterministic(tmp_path, capsys):
+    _seed_tree(tmp_path)
+    base = ["lint", str(tmp_path), "--no-cache", "--select", "RES001"]
+    assert main(base + ["--jobs", "1"]) == 1
+    serial = capsys.readouterr().out
+    assert main(base + ["--jobs", "2"]) == 1
+    parallel = capsys.readouterr().out
+    assert serial == parallel
+    assert "RES001" in serial
+    assert "DET001" not in serial
+
+
+def test_jobs_must_be_positive(tmp_path, capsys):
+    assert main(["lint", str(tmp_path), "--jobs", "0"]) == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
+def test_stats_reports_cache_and_phases(tmp_path, capsys):
+    _seed_tree(tmp_path)
+    cache = tmp_path / "cache.json"
+    base = ["lint", str(tmp_path), "--stats", "--cache-path", str(cache)]
+    main(base)
+    cold = capsys.readouterr().out
+    assert "stats: 2 files, cache 0/2 hits (0%)" in cold
+    assert "phase1" in cold and "phase2" in cold
+    main(base)
+    warm = capsys.readouterr().out
+    assert "cache 2/2 hits (100%)" in warm

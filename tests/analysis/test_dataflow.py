@@ -1,4 +1,4 @@
-"""Fixpoint solver: forward/backward solves, guards, widening."""
+"""Fixpoint solver: forward solves, guards, widening."""
 
 import ast
 import textwrap
@@ -8,7 +8,6 @@ from repro.analysis.flow.dataflow import (
     Analysis,
     each_item_state,
     exit_edge_states,
-    solve_backward,
     solve_forward,
 )
 
@@ -37,26 +36,6 @@ class _Assigned(Analysis):
             }
             return state | frozenset(names)
         return state
-
-
-class _UsedLater(Analysis):
-    """Backward may-analysis: names read by some later statement."""
-
-    def initial(self):
-        return frozenset()
-
-    def join(self, a, b):
-        return a | b
-
-    def transfer(self, item, state):
-        node = getattr(item, "node", item)
-        if not isinstance(node, ast.AST):
-            return state
-        reads = {
-            n.id for n in ast.walk(node)
-            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
-        }
-        return state | frozenset(reads)
 
 
 class _Counter(Analysis):
@@ -115,26 +94,6 @@ def test_forward_solve_reaches_all_branches():
         assert "a" in state
     # 'b' is assigned on only one branch: a may-analysis keeps it.
     assert any("b" in state for state in exit_states)
-
-
-def test_backward_solve_computes_liveness_style_facts():
-    cfg = _cfg(
-        """
-        def f(x):
-            y = x + 1
-            z = y + 1
-            return z
-        """
-    )
-    analysis = _UsedLater()
-    state = solve_backward(cfg, analysis)
-    # The map holds exit-facing states at each block's end; replaying
-    # the entry block's items in reverse accumulates every read.
-    entry_block = next(b for b in cfg.blocks if b.id == cfg.entry)
-    facts = state[cfg.entry]
-    for item in reversed(entry_block.items):
-        facts = analysis.transfer(item, facts)
-    assert {"x", "y", "z"} <= set(facts)
 
 
 def test_widening_terminates_unbounded_loop():

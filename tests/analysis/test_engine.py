@@ -1,11 +1,34 @@
-"""Engine mechanics: suppressions, fingerprints, rule selection."""
+"""Engine mechanics: suppressions, rule selection, the rule registry."""
 
+import re
 from pathlib import Path
 
 import pytest
 
-from repro.analysis import Engine, Finding, check_source, fingerprint_findings
+from repro.analysis import (
+    Engine,
+    Finding,
+    all_project_rules,
+    all_rules,
+    check_source,
+)
 from repro.analysis.engine import module_parts_for
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
+
+#: Every shipped rule id; a rule only joins (or leaves) this set together
+#: with its docs entry and the suppressions naming it.
+KEPT_RULE_IDS = {
+    "DET001", "DET002", "DET003", "DET004",
+    "UNIT001", "UNIT002", "UNIT003", "UNIT004", "UNIT005",
+    "COR001", "COR002", "COR003", "COR004", "COR005",
+    "OBS001", "OBS002", "OBS003", "OBS004",
+    "ROB001", "ROB002",
+    "RES001", "RES002", "RES003",
+}
+
+#: The rule list of an inline noqa comment.
+_NOQA_LIST_RE = re.compile(r"repro:\s*noqa\[([^\]]*)\]")
 
 WALL_CLOCK_SRC = """\
 import time
@@ -93,7 +116,6 @@ def test_malformed_noqa_warns_and_suppresses_nothing(tmp_path, comment):
 
 
 def test_malformed_noqa_warning_reaches_human_and_json_output(tmp_path):
-    from repro.analysis.baseline import match_baseline
     from repro.analysis.reporting import render_human, render_json
 
     target = tmp_path / "repro" / "simcore" / "clk.py"
@@ -104,11 +126,10 @@ def test_malformed_noqa_warning_reaches_human_and_json_output(tmp_path):
         )
     )
     result = Engine(select=["DET001"]).check_paths([target])
-    match = match_baseline(result.findings, set())
-    assert "warning:" in render_human(result, match)
+    assert "warning:" in render_human(result)
     import json
 
-    assert json.loads(render_json(result, match))["warnings"]
+    assert json.loads(render_json(result))["warnings"]
 
 
 def test_noqa_on_different_line_does_not_suppress():
@@ -140,35 +161,6 @@ def test_unknown_rule_ids_rejected():
         Engine(ignore=["NOPE999"])
 
 
-def test_fingerprints_are_line_independent_with_occurrence_index():
-    first = [
-        Finding("COR004", "a.py", 3, 1, "import 'os' is never used"),
-        Finding("COR004", "a.py", 9, 1, "import 'os' is never used"),
-    ]
-    shifted = [
-        Finding("COR004", "a.py", 13, 1, "import 'os' is never used"),
-        Finding("COR004", "a.py", 29, 1, "import 'os' is never used"),
-    ]
-    assert fingerprint_findings(first) == fingerprint_findings(shifted)
-    assert fingerprint_findings(first) == [
-        ("COR004", "a.py", "import 'os' is never used", "", 0),
-        ("COR004", "a.py", "import 'os' is never used", "", 1),
-    ]
-
-
-def test_fingerprint_includes_endpoint_for_cross_file_findings():
-    plain = Finding("UNIT005", "a.py", 3, 1, "unit mismatch")
-    with_endpoint = Finding(
-        "UNIT005", "a.py", 3, 1, "unit mismatch", endpoint="b.py::helper"
-    )
-    assert fingerprint_findings([plain]) != fingerprint_findings(
-        [with_endpoint]
-    )
-    assert fingerprint_findings([with_endpoint]) == [
-        ("UNIT005", "a.py", "unit mismatch", "b.py::helper", 0),
-    ]
-
-
 def test_module_parts_inferred_from_repro_directory():
     assert module_parts_for(Path("src/repro/ntp/wire.py")) == (
         "repro", "ntp", "wire",
@@ -198,3 +190,27 @@ def test_check_paths_accepts_single_file(tmp_path):
     target.write_text(WALL_CLOCK_SRC)
     result = Engine().check_paths([target])
     assert [f.rule for f in result.findings] == ["DET001"]
+
+
+def test_registry_and_suppressions_name_only_kept_rules():
+    """No suppression may name a rule that is not registered.
+
+    A noqa for a removed rule suppresses nothing and only misleads the
+    reader, so removing a rule must take its suppressions along.
+    """
+    registered = set(all_rules()) | set(all_project_rules())
+    assert registered == KEPT_RULE_IDS
+    stale = []
+    for root in ("src", "tests", "scripts"):
+        for path in sorted((REPO_ROOT / root).rglob("*.py")):
+            text = path.read_text(encoding="utf-8")
+            for lineno, line in enumerate(text.splitlines(), start=1):
+                for listed in _NOQA_LIST_RE.findall(line):
+                    ids = [r.strip().upper() for r in listed.split(",")]
+                    if path.name == "test_engine.py" and not all(ids):
+                        continue  # the deliberately malformed fixtures
+                    stale.extend(
+                        f"{path.relative_to(REPO_ROOT)}:{lineno}: {rule}"
+                        for rule in ids if rule not in registered
+                    )
+    assert stale == []

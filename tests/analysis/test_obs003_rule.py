@@ -3,6 +3,9 @@
 from pathlib import Path
 
 from repro.analysis import Engine, check_source
+from repro.analysis.engine import load_source
+from repro.analysis.flow import HOT_ROOTS, Project, hot_closure, summarize
+from repro.analysis.flow.hot import chain_label
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -98,3 +101,34 @@ def test_real_tree_is_clean():
     # overhead gate.
     result = Engine(select=["OBS003"]).check_paths([REPO_ROOT / "src"])
     assert [f.message for f in result.findings] == []
+
+
+def test_hot_roots_resolve_in_shipped_source():
+    """Every HOT_ROOTS entry must name a real function, or the list has
+    drifted from the source and the OBS003 scope silently shrank."""
+    project = Project([
+        summarize(load_source(path))
+        for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py"))
+    ])
+    missing = [r for r in HOT_ROOTS if r not in project.functions]
+    assert missing == []
+
+    closure = hot_closure(project)
+    # The event loop and the wireless sampler are in the hot closure,
+    # and the closure reaches beyond the roots.
+    assert "repro.simcore.simulator.Simulator.run_until" in closure
+    assert "repro.wireless.channel.WirelessChannel._step_once" in closure
+    assert len(closure) > len(HOT_ROOTS)
+    # Chains are witness paths: every chain starts at a root.
+    roots = {full for full, chain in closure.items() if len(chain) == 1}
+    for full, chain in closure.items():
+        assert chain[0] in roots
+        assert chain[-1] == full
+
+
+def test_chain_label_caps_long_chains():
+    chain = [f"m.f{i}" for i in range(8)]
+    label = chain_label(chain)
+    assert "..." in label
+    assert chain[-1] in label
+    assert chain[4] not in label

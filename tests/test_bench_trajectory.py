@@ -46,48 +46,6 @@ def test_trajectory_records_throughput(tmp_path):
     assert entry["a"]["sim_hours_per_s"] == 1.0
 
 
-def test_trajectory_migrates_single_run_document(tmp_path):
-    bench = load_bench_module()
-    out = tmp_path / "BENCH_obs.json"
-    out.write_text(json.dumps(
-        {"format": bench.BENCH_FORMAT, "benches": {"old": 4.0}}
-    ))
-    number, priors = bench._append_trajectory(out, {"new": 1.0}, {}, "smoke")
-    assert number == 2
-    doc = json.loads(out.read_text())
-    assert doc["runs"][0] == {
-        "run": 1, "mode": "unknown", "benches": {"old": 4.0},
-        "total_seconds": 4.0, "wall_seconds": 4.0,
-    }
-    assert doc["runs"][1]["benches"] == {"new": 1.0}
-
-
-def test_trajectory_migrates_old_schema_runs(tmp_path):
-    bench = load_bench_module()
-    out = tmp_path / "BENCH_obs.json"
-    out.write_text(json.dumps({
-        "format": bench.TRAJECTORY_FORMAT,
-        "runs": [
-            # Old smoke run: total_seconds only.
-            {"run": 1, "mode": "smoke", "benches": {"a": 2.0},
-             "total_seconds": 2.0},
-            # Old profile run: its total_seconds was never a suite
-            # total — the wall time moves to wall_seconds and the
-            # misleading field goes away.
-            {"run": 2, "mode": "profile", "benches": {},
-             "total_seconds": 0.4},
-        ],
-    }))
-    bench._append_trajectory(out, {"a": 2.1}, {}, "smoke")
-    doc = json.loads(out.read_text())
-    smoke_old, profile_old, fresh = doc["runs"]
-    assert smoke_old["wall_seconds"] == 2.0
-    assert smoke_old["total_seconds"] == 2.0
-    assert profile_old["wall_seconds"] == 0.4
-    assert "total_seconds" not in profile_old
-    assert fresh["wall_seconds"] == 2.1
-
-
 def test_trajectory_recovers_from_corrupt_file(tmp_path):
     bench = load_bench_module()
     out = tmp_path / "BENCH_obs.json"
