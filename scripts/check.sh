@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
-# One-shot verification gate: domain static analysis, ruff, mypy, and
-# the tier-1 test suite.  Intended for CI and as a pre-push check.
+# One-shot verification gate: domain static analysis, ruff, mypy, the
+# tier-1 test suite and the benchmark's self-tests.  Intended for CI and
+# as a pre-push check.
 #
 #   scripts/check.sh            # everything
-#   scripts/check.sh --fast     # skip the test suite
+#   scripts/check.sh --fast     # skip the test suites
 #
 # ruff/mypy are optional extras (pip install -e ".[lint]"); when they
 # are not installed the corresponding step is skipped with a notice so
@@ -41,6 +42,11 @@ fi
 if [[ "${1:-}" != "--fast" ]]; then
     echo "== pytest (tier-1)"
     python -m pytest -x -q
+
+    echo "== benchmark self-tests (perfbench)"
+    # The repository benchmark's own tests sit outside tier-1's
+    # testpaths; run them here so a broken benchmark fails the gate.
+    python -m pytest perfbench -q
 
     echo "== bench harness (smoke)"
     # Appends a run to the BENCH_obs.json trajectory; fails if the

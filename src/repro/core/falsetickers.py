@@ -10,10 +10,11 @@ the heuristic's intent (NTP's own intersection algorithm is symmetric).
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
+from functools import reduce
 from typing import Dict, List
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -29,6 +30,14 @@ class FalseTickerVerdict:
     accepted: Dict[str, float]
     rejected: List[str]
     combined_offset: float
+
+
+def _mean(values: List[float]) -> float:
+    # A left-to-right sum from +0.0 gives numpy's bits below its 8-wide
+    # pairwise block, so a vote over a few sources matches
+    # ``np.mean``/``np.std`` exactly.  Not ``sum()``: it compensates
+    # from Python 3.12 on.
+    return reduce(operator.add, values, 0.0) / len(values)
 
 
 def reject_false_tickers(offsets_by_source: Dict[str, float]) -> FalseTickerVerdict:
@@ -53,9 +62,9 @@ def reject_false_tickers(offsets_by_source: Dict[str, float]) -> FalseTickerVerd
         return FalseTickerVerdict(
             accepted={source: offset}, rejected=[], combined_offset=offset
         )
-    values = np.asarray(list(offsets_by_source.values()))
-    mean = float(values.mean())
-    std = float(values.std())
+    values = list(offsets_by_source.values())
+    mean = _mean(values)
+    std = math.sqrt(_mean([(v - mean) * (v - mean) for v in values]))
     accepted: Dict[str, float] = {}
     rejected: List[str] = []
     for source, offset in offsets_by_source.items():
@@ -66,7 +75,7 @@ def reject_false_tickers(offsets_by_source: Dict[str, float]) -> FalseTickerVerd
     if not accepted:
         accepted = dict(offsets_by_source)
         rejected = []
-    combined = float(np.mean(list(accepted.values())))
+    combined = _mean(list(accepted.values()))
     return FalseTickerVerdict(
         accepted=accepted, rejected=rejected, combined_offset=combined
     )

@@ -1,9 +1,10 @@
 """Warm-up false-ticker rejection."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.falsetickers import reject_false_tickers
+from repro.core.falsetickers import FalseTickerVerdict, reject_false_tickers
 
 
 def test_empty_rejected():
@@ -65,3 +66,40 @@ def test_invariants_property(offsets):
     assert verdict.accepted  # never empty
     lo, hi = min(offsets.values()), max(offsets.values())
     assert lo - 1e-9 <= verdict.combined_offset <= hi + 1e-9
+
+
+def _numpy_reference(offsets_by_source):
+    """The vote computed with numpy ``mean``/``std``, as it was first written."""
+    if len(offsets_by_source) == 1:
+        ((source, offset),) = offsets_by_source.items()
+        return FalseTickerVerdict({source: offset}, [], offset)
+    values = np.asarray(list(offsets_by_source.values()))
+    mean = float(values.mean())
+    std = float(values.std())
+    accepted, rejected = {}, []
+    for source, offset in offsets_by_source.items():
+        if std > 0 and abs(offset - mean) > std:
+            rejected.append(source)
+        else:
+            accepted[source] = offset
+    if not accepted:
+        accepted, rejected = dict(offsets_by_source), []
+    return FalseTickerVerdict(
+        accepted, rejected, float(np.mean(list(accepted.values())))
+    )
+
+
+_magnitude = st.integers(-6, 1).map(lambda e: 10.0**e)
+_offset = st.builds(
+    lambda sign, mantissa, scale: sign * mantissa * scale,
+    st.sampled_from((-1.0, 1.0)), st.floats(0.0, 9.99), _magnitude,
+)
+
+
+@given(st.lists(_offset, min_size=2, max_size=7))
+def test_matches_numpy_reference_bit_for_bit(values):
+    offsets = {f"s{i}": v for i, v in enumerate(values)}
+    got = reject_false_tickers(offsets)
+    want = _numpy_reference(offsets)
+    assert got == want
+    assert got.combined_offset.hex() == want.combined_offset.hex()

@@ -3,9 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.core import filter as filter_module
 from repro.core.config import MntpConfig
+from repro.tuner import LoggerOptions, TraceLogger
 from repro.tuner.emulator import MntpEmulator
+from repro.tuner.searcher import SearchSpace
 from repro.tuner.traces import OffsetTrace, TraceEntry
+from tests.core.test_trend import PolyfitTrendLine
 
 GOOD = dict(rssi_dbm=-45.0, noise_dbm=-92.0)
 BAD = dict(rssi_dbm=-85.0, noise_dbm=-60.0)
@@ -128,3 +132,30 @@ def test_regular_phase_falls_back_to_any_source():
     config = _config(warmup_period=100.0, regular_wait_time=30.0)
     result = MntpEmulator(trace, config).run()
     assert result.raw_accepted
+
+
+def test_decisions_match_polyfit_reference(monkeypatch):
+    """The running-sums trend fit makes the same filter decisions as a
+    refit with ``np.polyfit``, on every Table 2 grid configuration."""
+    trace = TraceLogger(seed=3, options=LoggerOptions(duration=3600.0)).run()
+    configs = [
+        MntpConfig().with_overrides(
+            warmup_period=wp, warmup_wait_time=ww,
+            regular_wait_time=rw, reset_period=rp,
+        )
+        for wp, ww, rw, rp in SearchSpace().combinations()
+    ]
+    fast = [MntpEmulator(trace, config).run() for config in configs]
+    monkeypatch.setattr(filter_module, "TrendLine", PolyfitTrendLine)
+    reference = [MntpEmulator(trace, config).run() for config in configs]
+    for got, want in zip(fast, reference):
+        assert got.requests == want.requests
+        assert len(got.reported) == len(want.reported)
+        assert got.raw_accepted == want.raw_accepted
+        assert got.rejected == want.rejected
+        assert got.deferred == want.deferred
+        assert got.resets == want.resets
+        assert got.rmse_ms() == pytest.approx(want.rmse_ms(), rel=1e-12)
+    # The short trace still reaches the gated regular phase and rejects.
+    assert any(r.warmup_completions for r in fast)
+    assert any(r.rejected for r in fast)
