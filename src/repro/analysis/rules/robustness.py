@@ -114,9 +114,8 @@ _SCENARIO_MODULES = frozenset({
 #: ``repro.testbed`` facade) marks the importer as scenario-wiring
 #: code and puts it in ROB002 scope.
 _SCENARIO_IMPORT_NAMES = frozenset({
-    "Scenario", "SCENARIOS", "run_scenario",
-    "ScenarioSpec", "TopologySpec", "spec_for_scenario",
-    "chaos_matrix_spec", "default_specs", "write_default_specs",
+    "run_scenario", "scenario_names", "load_scenario",
+    "ScenarioSpec", "TopologySpec",
     "load_spec", "load_spec_dir", "save_spec", "run_spec",
     "MatrixOptions", "run_matrix",
 })

@@ -10,14 +10,14 @@ and draw from a dedicated, seeded simulator stream at injection time,
 so the same root seed and schedule always produce the same run, byte
 for byte.
 
-Schedules serialize to a stable JSON document (sorted keys) and load
-back losslessly, which is what lets an archived chaos report name the
-exact hostile conditions it was produced under.
+Schedules serialize to a plain dict (:meth:`FaultSchedule.to_dict`)
+and load back losslessly and strictly (:meth:`FaultSchedule.from_dict`
+rejects unknown keys at every level), which is how a scenario spec's
+``faults`` block names the exact hostile conditions of its run.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Dict, Iterator, List, Optional, Sequence
@@ -86,6 +86,27 @@ SERVER_KINDS = frozenset(
 
 #: Valid ``direction`` values for network episodes.
 DIRECTIONS = ("up", "down", "both")
+
+#: Keys :meth:`FaultEpisode.to_dict` emits; :meth:`FaultEpisode.from_dict`
+#: rejects any other so a typo'd key fails at load instead of silently
+#: defaulting.
+_EPISODE_KEYS = frozenset(
+    {"kind", "start", "duration", "target", "direction", "params"}
+)
+
+#: Keys :meth:`FaultSchedule.to_dict` emits.
+_SCHEDULE_KEYS = frozenset({"name", "episodes"})
+
+
+def _reject_unknown_keys(data: Any, known: frozenset) -> None:
+    """Raise unless ``data`` is a mapping whose keys are all ``known``."""
+    if not isinstance(data, dict):
+        raise ValueError(f"must be a JSON object, got {type(data).__name__}")
+    unknown = sorted(set(data) - known)
+    if unknown:
+        raise ValueError(
+            f"unknown keys {unknown}; known keys are {sorted(known)}"
+        )
 
 
 @dataclass(frozen=True)
@@ -167,15 +188,30 @@ class FaultEpisode:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "FaultEpisode":
-        """Rebuild an episode from :meth:`to_dict` output."""
-        return cls(
-            kind=FaultKind(data["kind"]),
-            start=float(data["start"]),
-            duration=float(data["duration"]),
-            target=str(data.get("target", "*")),
-            direction=str(data.get("direction", "both")),
-            params={str(k): float(v) for k, v in data.get("params", {}).items()},
-        )
+        """Rebuild an episode from :meth:`to_dict` output.
+
+        ``target``, ``direction`` and ``params`` may be omitted.
+
+        Raises:
+            ValueError: On unknown or missing keys, or invalid values.
+        """
+        _reject_unknown_keys(data, _EPISODE_KEYS)
+        try:
+            return cls(
+                kind=FaultKind(data["kind"]),
+                start=float(data["start"]),
+                duration=float(data["duration"]),
+                target=str(data.get("target", "*")),
+                direction=str(data.get("direction", "both")),
+                params={
+                    str(k): float(v)
+                    for k, v in data.get("params", {}).items()
+                },
+            )
+        except KeyError as exc:
+            raise ValueError(f"missing key {exc}") from exc
+        except (AttributeError, TypeError) as exc:
+            raise ValueError(str(exc)) from exc
 
 
 class FaultSchedule:
@@ -239,29 +275,29 @@ class FaultSchedule:
             "episodes": [e.to_dict() for e in self.episodes],
         }
 
-    def to_json(self, indent: Optional[int] = None) -> str:
-        """Stable JSON text (sorted keys; byte-identical per schedule)."""
-        return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
-
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "FaultSchedule":
-        """Rebuild a schedule from :meth:`to_dict` output."""
-        return cls(
-            episodes=[FaultEpisode.from_dict(e) for e in data.get("episodes", [])],
-            name=str(data.get("name", "schedule")),
-        )
+        """Rebuild a schedule from :meth:`to_dict` output (strict).
 
-    @classmethod
-    def from_json(cls, text: str) -> "FaultSchedule":
-        """Parse :meth:`to_json` output back into a schedule.
+        Error messages carry the offending path from a ``faults`` root
+        (``faults.episodes[3]: unknown keys [...]``), matching the
+        schedule's place in a scenario spec.
 
         Raises:
-            ValueError: On malformed JSON or invalid episode fields.
+            ValueError: On unknown keys at any level, a missing
+                required episode key, or an invalid episode value.
         """
         try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"invalid fault schedule JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ValueError("fault schedule JSON must be an object")
-        return cls.from_dict(data)
+            _reject_unknown_keys(data, _SCHEDULE_KEYS)
+        except ValueError as exc:
+            raise ValueError(f"faults: {exc}") from exc
+        episodes_data = data.get("episodes", [])
+        if not isinstance(episodes_data, list):
+            raise ValueError("faults.episodes must be a list")
+        episodes = []
+        for index, episode in enumerate(episodes_data):
+            try:
+                episodes.append(FaultEpisode.from_dict(episode))
+            except ValueError as exc:
+                raise ValueError(f"faults.episodes[{index}]: {exc}") from exc
+        return cls(episodes=episodes, name=str(data.get("name", "schedule")))

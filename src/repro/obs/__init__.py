@@ -14,7 +14,6 @@ from repro.obs.merge import (
     iter_merged_records,
     make_shard,
     merge_documents,
-    run_demo_shards,
     write_merged_jsonl,
 )
 from repro.obs.metrics import (
@@ -85,7 +84,6 @@ from repro.obs.health import (
     recovered_transitions,
     render_health_text,
     replay_health,
-    smoke_spec,
 )
 from repro.obs.diff import (
     DIFF_FORMAT,
@@ -114,7 +112,6 @@ __all__ = [
     "iter_merged_records",
     "make_shard",
     "merge_documents",
-    "run_demo_shards",
     "stable_hash",
     "stream_jsonl",
     "write_merged_jsonl",
@@ -159,7 +156,6 @@ __all__ = [
     "recovered_transitions",
     "render_health_text",
     "replay_health",
-    "smoke_spec",
     "DIFF_FORMAT",
     "coerce_snapshot",
     "diff_snapshots",

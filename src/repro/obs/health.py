@@ -417,23 +417,6 @@ class HealthMonitor:
         }
 
 
-def smoke_spec() -> SloSpec:
-    """The SLO spec of the ``health --smoke`` CI gate.
-
-    Tuned to the ``chaos_smoke`` scenario: a window short enough to
-    flush fault-era samples soon after each episode, and a grace period
-    covering the post-episode settling, so the gate demonstrates the
-    full ok → degraded/violated → recovered cycle with every violation
-    annotated as in-fault.
-    """
-    return SloSpec(
-        window_s=120.0,
-        fault_grace_s=120.0,
-        drop_rate_warn_ratio=0.2,
-        drop_rate_violate_ratio=0.5,
-    )
-
-
 def recovered_transitions(report: Dict[str, Any]) -> int:
     """How many transitions in a report landed on ``recovered``."""
     return sum(

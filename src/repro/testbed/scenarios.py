@@ -1,169 +1,44 @@
-"""Named experiment scenarios matching the paper's figures.
+"""Named experiment scenarios: the spec files under ``scenarios/``.
 
-Each scenario pins the environment switches and protocol configuration
-for one experimental condition; the figure benches combine one or two
-scenarios into the published comparison.
+Each paper condition (§3.2 testbed; Figs 4 and 6–12, plus the
+extension and chaos runs) is one checked-in
+:class:`~repro.testbed.specs.ScenarioSpec` JSON file, and its file stem
+is its name.  Those files are the only definition: the figure benches,
+the CLI, the benchmark and the matrix runner all load them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+import os
+from typing import List, Optional
 
-from repro.clock.temperature import DiurnalTemperature
-from repro.core.config import MntpConfig
-from repro.faults.chaos import chaos_mntp_config, default_fault_matrix
-from repro.ntp.sntp_client import HardeningPolicy
 from repro.testbed.experiment import ExperimentResult, ExperimentRunner
-from repro.testbed.nodes import TestbedOptions
+from repro.testbed.specs import ScenarioSpec, iter_spec_files, load_spec
+
+#: The checked-in spec directory (``<repo>/scenarios``); the package
+#: runs from source, so it is resolved relative to this file.
+SCENARIO_DIR = os.path.normpath(
+    os.path.join(os.path.dirname(__file__), "..", "..", "..", "scenarios")
+)
 
 
-@dataclass(frozen=True)
-class Scenario:
-    """A reproducible experimental condition.
+def scenario_names() -> List[str]:
+    """The named scenarios: the spec file stems, sorted."""
+    return [
+        os.path.basename(path)[: -len(".json")]
+        for path in iter_spec_files(SCENARIO_DIR)
+    ]
 
-    Attributes:
-        name: Scenario identifier.
-        description: What paper condition it reproduces.
-        duration: Virtual seconds.
-        options_factory: Builds the testbed options.
-        mntp_config_factory: Builds the MNTP config, or None for
-            SNTP-only runs.
-        run_sntp: Whether the unmodified SNTP client also runs.
-        cadence: Request cadence in seconds.
+
+def load_scenario(name: str) -> ScenarioSpec:
+    """Load the spec of a named scenario.
+
+    Raises:
+        KeyError: ``name`` has no spec file under :data:`SCENARIO_DIR`.
     """
-
-    name: str
-    description: str
-    duration: float
-    options_factory: Callable[[], TestbedOptions]
-    mntp_config_factory: Optional[Callable[[], MntpConfig]] = None
-    run_sntp: bool = True
-    cadence: float = 5.0
-
-
-def _headtohead_mntp() -> MntpConfig:
-    """§5.1 head-to-head config: 5 s cadence, no phases, no drift or
-    clock correction, gate + filter active."""
-    return MntpConfig.baseline_headtohead(cadence_s=5.0)
-
-
-def _insitu_mntp() -> MntpConfig:
-    """24-hour in-situ config: realistic paced parameters (Table-2
-    config-1 class) with clock and drift correction enabled — the
-    deployment mode, not the measurement mode."""
-    return MntpConfig(
-        warmup_period=30 * 60.0,
-        warmup_wait_time=15.0,
-        regular_wait_time=15 * 60.0,
-        reset_period=240 * 60.0,
-        enable_clock_correction=True,
-        enable_drift_correction=True,
-    )
-
-
-def _longrun_mntp() -> MntpConfig:
-    """§5.2 4-hour config: as head-to-head but with the drift estimate
-    maintained (corrected drift values are computed in software)."""
-    return MntpConfig.baseline_headtohead(cadence_s=5.0).with_overrides(
-        enable_drift_correction=True
-    )
-
-
-SCENARIOS: Dict[str, Scenario] = {
-    "wired_corrected": Scenario(
-        name="wired_corrected",
-        description="Fig 4 (left, wired): SNTP on wired network, ntpd "
-        "disciplining the TN clock",
-        duration=3600.0,
-        options_factory=lambda: TestbedOptions(wireless=False, ntp_correction=True),
-    ),
-    "wired_uncorrected": Scenario(
-        name="wired_uncorrected",
-        description="Fig 4 (right, wired): SNTP on wired network, clock "
-        "free-running",
-        duration=3600.0,
-        options_factory=lambda: TestbedOptions(wireless=False, ntp_correction=False),
-    ),
-    "wireless_corrected": Scenario(
-        name="wireless_corrected",
-        description="Fig 4 (left, wireless): SNTP over the degraded "
-        "wireless hop, ntpd disciplining the TN clock",
-        duration=3600.0,
-        options_factory=lambda: TestbedOptions(wireless=True, ntp_correction=True),
-    ),
-    "wireless_uncorrected": Scenario(
-        name="wireless_uncorrected",
-        description="Fig 4 (right, wireless): SNTP over the degraded "
-        "wireless hop, clock free-running",
-        duration=3600.0,
-        options_factory=lambda: TestbedOptions(wireless=True, ntp_correction=False),
-    ),
-    "mntp_wireless_corrected": Scenario(
-        name="mntp_wireless_corrected",
-        description="Fig 6/7: SNTP vs MNTP head-to-head on wireless with "
-        "NTP clock correction",
-        duration=3600.0,
-        options_factory=lambda: TestbedOptions(wireless=True, ntp_correction=True),
-        mntp_config_factory=_headtohead_mntp,
-    ),
-    "mntp_wireless_uncorrected": Scenario(
-        name="mntp_wireless_uncorrected",
-        description="Fig 8: SNTP vs MNTP head-to-head on wireless, clock "
-        "free-running",
-        duration=3600.0,
-        options_factory=lambda: TestbedOptions(wireless=True, ntp_correction=False),
-        mntp_config_factory=_headtohead_mntp,
-    ),
-    "mntp_longrun": Scenario(
-        name="mntp_longrun",
-        description="Fig 12: 4-hour SNTP vs MNTP on wireless, clock "
-        "free-running, drift estimation active",
-        duration=4 * 3600.0,
-        options_factory=lambda: TestbedOptions(wireless=True, ntp_correction=False),
-        mntp_config_factory=_longrun_mntp,
-    ),
-    "mntp_insitu_24h": Scenario(
-        name="mntp_insitu_24h",
-        description="Extension (§7 in-situ): 24 h of deployed MNTP "
-        "correcting a free-running clock through diurnal temperature "
-        "and round-the-clock channel hostility",
-        duration=24 * 3600.0,
-        options_factory=lambda: TestbedOptions(
-            wireless=True,
-            ntp_correction=False,
-            temperature=DiurnalTemperature(mean_c=26.0, amplitude_c=8.0),
-        ),
-        mntp_config_factory=_insitu_mntp,
-        cadence=60.0,  # ground truth sampled per minute over the day
-    ),
-    "chaos_smoke": Scenario(
-        name="chaos_smoke",
-        description="Robustness showcase: the smoke fault matrix "
-        "(blackout, upstream step, zeroed timestamps) against the "
-        "hardened MNTP client on the wired topology — the full "
-        "survival report comes from 'repro-mntp chaos'",
-        duration=1440.0,
-        options_factory=lambda: TestbedOptions(
-            wireless=False,
-            ntp_correction=False,
-            monitor_active=False,
-            fault_schedule=default_fault_matrix(smoke=True),
-            mntp_hardening=HardeningPolicy(),
-        ),
-        mntp_config_factory=chaos_mntp_config,
-    ),
-    "mntp_falsetickers": Scenario(
-        name="mntp_falsetickers",
-        description="Extension: warm-up false-ticker rejection with one "
-        "biased member per pool",
-        duration=3600.0,
-        options_factory=lambda: TestbedOptions(
-            wireless=True, ntp_correction=True, include_falseticker=True
-        ),
-        mntp_config_factory=_headtohead_mntp,
-    ),
-}
+    if name not in scenario_names():
+        raise KeyError(name)
+    return load_spec(os.path.join(SCENARIO_DIR, f"{name}.json"))
 
 
 def run_scenario(
@@ -176,8 +51,12 @@ def run_scenario(
 ) -> ExperimentResult:
     """Run a named scenario and return its result.
 
+    Unlike :meth:`ScenarioSpec.build_runner`, the run is unmonitored
+    unless ``health_spec`` or ``on_health`` is given; the spec's own
+    guarantees are the matrix runner's business.
+
     Args:
-        name: Key into :data:`SCENARIOS`.
+        name: A spec file stem (see :func:`scenario_names`).
         seed: Root seed for the run.
         sample_rate: Optional 1-in-N trace sampling (see
             :mod:`repro.obs.sampling`).
@@ -187,19 +66,18 @@ def run_scenario(
             result's ``health`` field.
         on_health: Optional per-evaluation callback (``run --watch``);
             implies monitoring with the default spec.
+
+    Raises:
+        KeyError: Unknown scenario name.
     """
-    scenario = SCENARIOS[name]
+    spec = load_scenario(name)
     runner = ExperimentRunner(
         seed=seed,
-        options=scenario.options_factory(),
-        duration=scenario.duration,
-        sntp_cadence=scenario.cadence,
-        run_sntp=scenario.run_sntp,
-        mntp_config=(
-            scenario.mntp_config_factory()
-            if scenario.mntp_config_factory is not None
-            else None
-        ),
+        options=spec.build_options(),
+        duration=spec.duration_s,
+        sntp_cadence=spec.cadence_s,
+        run_sntp=spec.run_sntp,
+        mntp_config=spec.mntp,
         sample_rate=sample_rate,
         ring_capacity=ring_capacity,
         health_spec=health_spec,

@@ -25,12 +25,10 @@ nesting level, numeric fields carry unit suffixes (``duration_s``,
 offending path so a typo'd spec fails loudly instead of silently
 running the wrong experiment.
 
-:func:`spec_for_scenario` derives a spec from every named scenario in
-:mod:`repro.testbed.scenarios`, :func:`chaos_matrix_spec` expresses the
-full 12-episode chaos matrix, and :func:`write_default_specs` emits
-them all as JSON files (the repo checks them in under ``scenarios/``).
-The matrix runner (:mod:`repro.testbed.matrix`) executes a directory of
-these files and aggregates the verdicts.
+The checked-in files under ``scenarios/`` are the only definition of
+the paper's named conditions: :func:`repro.testbed.scenarios.run_scenario`
+loads them by name, and the matrix runner (:mod:`repro.testbed.matrix`)
+executes a directory of them and aggregates the verdicts.
 """
 
 from __future__ import annotations
@@ -47,13 +45,11 @@ from repro.clock.temperature import (
     TemperatureProfile,
 )
 from repro.core.config import HintThresholds, MntpConfig
-from repro.faults.chaos import chaos_mntp_config, default_fault_matrix
-from repro.faults.schedule import FaultEpisode, FaultSchedule
+from repro.faults.schedule import FaultSchedule
 from repro.ntp.sntp_client import HardeningPolicy
-from repro.obs.health import HealthMonitor, SloSpec, replay_health, smoke_spec
+from repro.obs.health import HealthMonitor, SloSpec, replay_health
 from repro.testbed.experiment import ExperimentResult, ExperimentRunner
 from repro.testbed.nodes import TestbedOptions
-from repro.testbed.scenarios import SCENARIOS
 
 #: Format tag carried by every spec document.
 SPEC_FORMAT = "mntp-scenario-spec-v1"
@@ -190,38 +186,6 @@ def _hardening_from_dict(data: Dict[str, Any], where: str) -> HardeningPolicy:
         return HardeningPolicy(**data)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{where}: {exc}") from exc
-
-
-#: Keys :meth:`FaultEpisode.to_dict` emits — enforced strictly here so
-#: a typo'd episode key fails at load instead of silently defaulting.
-_EPISODE_KEYS = frozenset(
-    {"kind", "start", "duration", "target", "direction", "params"}
-)
-
-
-def _faults_from_dict(data: Dict[str, Any], where: str) -> FaultSchedule:
-    """Rebuild a :class:`FaultSchedule` with strict key checking.
-
-    ``FaultSchedule.from_dict`` tolerates missing keys for backward
-    compatibility; spec files are new, so they get the strict treatment
-    the rest of the schema has.
-    """
-    data = _require_mapping(data, where)
-    _reject_unknown_keys(data, {"name", "episodes"}, where)
-    episodes_data = data.get("episodes", [])
-    if not isinstance(episodes_data, list):
-        raise ValueError(f"{where}.episodes must be a list")
-    episodes = []
-    for index, episode in enumerate(episodes_data):
-        episode_where = f"{where}.episodes[{index}]"
-        episode = _require_mapping(episode, episode_where)
-        _reject_unknown_keys(episode, _EPISODE_KEYS, episode_where)
-        try:
-            episodes.append(FaultEpisode.from_dict(episode))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"{episode_where}: {exc}") from exc
-    return FaultSchedule(episodes=episodes, name=str(data.get("name",
-                                                              "schedule")))
 
 
 def _slo_from_dict(data: Dict[str, Any], where: str) -> SloSpec:
@@ -427,8 +391,10 @@ class ScenarioSpec:
                 data["hardening"], "spec.hardening"
             )
         if data.get("faults") is not None:
-            kwargs["faults"] = _faults_from_dict(data["faults"],
-                                                 "spec.faults")
+            try:
+                kwargs["faults"] = FaultSchedule.from_dict(data["faults"])
+            except ValueError as exc:
+                raise ValueError(f"spec.{exc}") from exc
         if "guarantees" in data:
             kwargs["guarantees"] = _slo_from_dict(
                 data["guarantees"], "spec.guarantees"
@@ -602,143 +568,3 @@ def run_spec(
         seed=seed, sample_rate=sample_rate, ring_capacity=ring_capacity
     ).run()
     return result, judge_result(spec, result)
-
-
-# -- the shipped spec set --------------------------------------------------
-
-#: Success-tier guarantees attached to generated named-scenario specs;
-#: scenarios not listed get the default :class:`SloSpec` envelope.
-#: ``chaos_smoke`` keeps the exact spec the ``health --smoke`` CI gate
-#: judges with, so the spec file reproduces today's verdict.
-_NAMED_GUARANTEES: Dict[str, Callable[[], SloSpec]] = {
-    "chaos_smoke": smoke_spec,
-}
-
-#: Names tagged into the CI smoke tier (fast, verdict-stable specs the
-#: ``matrix --smoke`` gate runs on every check).
-_SMOKE_NAMES = frozenset({"chaos_smoke", "wired_corrected"})
-
-
-def _chaos_guarantees() -> SloSpec:
-    """Success-tier envelope of the full chaos matrix.
-
-    The 12 episodes are spaced at most 240 s apart, so a fault grace of
-    240 s keeps the whole hostile stretch inside fault windows — any
-    violation *outside* them is a real robustness regression, exactly
-    like the smoke gate's rule.
-    """
-    return SloSpec.from_dict({
-        **smoke_spec().to_dict(), "fault_grace_s": 240.0,
-    })
-
-
-def _chaos_minimal_guarantees() -> SloSpec:
-    """Minimal-tier envelope of the full chaos matrix: MNTP may degrade
-    under fire but must never starve or lose the plot entirely."""
-    base = _chaos_guarantees().to_dict()
-    base.update({
-        "p99_abs_error_warn_ms": 200.0,
-        "p99_abs_error_violate_ms": 1000.0,
-        "drop_rate_warn_ratio": 0.5,
-        "drop_rate_violate_ratio": 0.9,
-        "starvation_warn_s": 600.0,
-        "starvation_violate_s": 1200.0,
-    })
-    return SloSpec.from_dict(base)
-
-
-def spec_for_scenario(name: str) -> ScenarioSpec:
-    """The :class:`ScenarioSpec` form of a named scenario.
-
-    Raises:
-        KeyError: Unknown scenario name.
-        ValueError: The scenario uses options the spec schema cannot
-            yet express (non-default process-model parameter blocks).
-    """
-    scenario = SCENARIOS[name]
-    options = scenario.options_factory()
-    reference = TestbedOptions()
-    for unsupported in ("channel_params", "effects_params",
-                        "cross_traffic_params", "monitor_params",
-                        "suspend_node"):
-        if getattr(options, unsupported) != getattr(reference, unsupported):
-            raise ValueError(
-                f"scenario {name!r} varies TestbedOptions.{unsupported}, "
-                "which the spec schema does not express yet"
-            )
-    topology = TopologySpec(
-        wireless=options.wireless,
-        ntp_correction=options.ntp_correction,
-        monitor_active=options.monitor_active,
-        pool_size=options.pool_size,
-        include_falseticker=options.include_falseticker,
-        initial_clock_offset_s=options.initial_clock_offset,
-        wired_base_delay_s=options.wired_base_delay,
-        temperature=options.temperature,
-    )
-    guarantees_factory = _NAMED_GUARANTEES.get(name, SloSpec)
-    return ScenarioSpec(
-        name=name,
-        description=scenario.description,
-        duration_s=scenario.duration,
-        cadence_s=scenario.cadence,
-        run_sntp=scenario.run_sntp,
-        topology=topology,
-        mntp=(
-            scenario.mntp_config_factory()
-            if scenario.mntp_config_factory is not None
-            else None
-        ),
-        hardening=options.mntp_hardening,
-        faults=options.fault_schedule,
-        guarantees=guarantees_factory(),
-        tags=("smoke",) if name in _SMOKE_NAMES else (),
-    )
-
-
-def chaos_matrix_spec() -> ScenarioSpec:
-    """The full 12-episode chaos matrix as a declarative spec.
-
-    Same setup as ``repro-mntp chaos`` without ``--smoke``: wired
-    topology, free-running clock, hardened chaos MNTP config, every
-    fault kind once.  Success tier mirrors the smoke gate's rule with a
-    grace wide enough to bridge the episode spacing; the Minimal tier
-    demonstrates the two-tier judgement on the nastiest shipped spec.
-    """
-    return ScenarioSpec(
-        name="chaos_full",
-        description="Full fault matrix (every FaultKind once) against "
-        "the hardened MNTP client on the wired topology — the spec-file "
-        "form of 'repro-mntp chaos'",
-        duration_s=4200.0,
-        cadence_s=5.0,
-        topology=TopologySpec(
-            wireless=False, ntp_correction=False, monitor_active=False
-        ),
-        mntp=chaos_mntp_config(),
-        hardening=HardeningPolicy(),
-        faults=default_fault_matrix(smoke=False),
-        guarantees=_chaos_guarantees(),
-        minimal_guarantees=_chaos_minimal_guarantees(),
-        tags=("chaos",),
-    )
-
-
-def default_specs() -> List[ScenarioSpec]:
-    """Every shipped spec: the named scenarios plus the full chaos
-    matrix, sorted by name."""
-    specs = [spec_for_scenario(name) for name in SCENARIOS]
-    specs.append(chaos_matrix_spec())
-    return sorted(specs, key=lambda spec: spec.name)
-
-
-def write_default_specs(directory: str) -> List[str]:
-    """Write the shipped spec set as ``<name>.json`` files; returns the
-    written paths (regenerates the repo's ``scenarios/`` directory)."""
-    os.makedirs(directory, exist_ok=True)
-    paths = []
-    for spec in default_specs():
-        path = os.path.join(directory, f"{spec.name}.json")
-        save_spec(spec, path)
-        paths.append(path)
-    return paths

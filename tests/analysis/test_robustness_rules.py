@@ -98,11 +98,12 @@ def test_rob002_flags_thresholds_in_spec_importers():
 
 
 def test_rob002_scope_via_testbed_facade_import():
-    src = (
-        "from repro.testbed import run_matrix\n"
-        "def f(starvation_s):\n    return 600.0 < starvation_s\n"
-    )
-    assert [f.rule for f in rob002_for(src, "repro.cli")] == ["ROB002"]
+    for name in ("run_matrix", "run_scenario"):
+        src = (
+            f"from repro.testbed import {name}\n"
+            "def f(starvation_s):\n    return 600.0 < starvation_s\n"
+        )
+        assert [f.rule for f in rob002_for(src, "repro.cli")] == ["ROB002"]
 
 
 def test_rob002_out_of_scope_without_scenario_import():

@@ -1,22 +1,58 @@
-"""Chaos harness: survival semantics, determinism, fault visibility."""
+"""Chaos specs: fault coverage, survival, determinism, fault visibility.
+
+The chaos matrices are the ``chaos_smoke`` and ``chaos_full`` scenario
+specs; these tests run the smoke one and judge hardened MNTP's recovery
+after every fault episode.
+"""
+
+import io
 
 import pytest
 
-from repro.faults.chaos import (
-    ChaosOptions,
-    _post_windows,
-    _window_verdict,
-    default_fault_matrix,
-    report_to_json,
-    run_chaos,
-)
 from repro.faults.schedule import FaultEpisode, FaultKind, FaultSchedule
+from repro.testbed.persistence import save_result
+from repro.testbed.scenarios import load_scenario, run_scenario
+
+#: Settling time after an episode before its judged window opens
+#: (covers one step-recovery detection latency).
+GRACE_S = 60.0
+#: Recovery bar on MNTP's |measurement error| inside a judged window.
+THRESHOLD_S = 0.025
+
+
+def post_windows(schedule, duration, grace):
+    """Each episode with its judged post-episode window.
+
+    The window runs from ``end + grace`` to the start of the next
+    later-starting episode (or the run horizon).
+    """
+    ordered = sorted(schedule, key=lambda e: (e.start, e.end, e.kind.value))
+    out = []
+    for episode in ordered:
+        nxt = min(
+            (e.start for e in ordered if e.start > episode.end),
+            default=duration,
+        )
+        out.append((episode, (episode.end + grace, min(nxt, duration))))
+    return out
+
+
+def archive(result):
+    """The byte form of a run (what ``run --save`` writes)."""
+    buf = io.StringIO()
+    save_result(result, buf)
+    return buf.getvalue()
+
+
+@pytest.fixture(scope="module")
+def smoke_run():
+    return run_scenario("chaos_smoke", seed=0)
 
 
 def test_default_matrix_covers_every_kind():
-    kinds = {e.kind for e in default_fault_matrix()}
+    kinds = {e.kind for e in load_scenario("chaos_full").faults}
     assert kinds == set(FaultKind)
-    smoke_kinds = {e.kind for e in default_fault_matrix(smoke=True)}
+    smoke_kinds = {e.kind for e in load_scenario("chaos_smoke").faults}
     assert smoke_kinds < kinds
 
 
@@ -27,62 +63,41 @@ def test_post_windows_end_at_next_episode_or_horizon():
     ])
     windows = dict(
         (ep.kind, win)
-        for ep, win in _post_windows(schedule, duration=1000.0, grace=20.0)
+        for ep, win in post_windows(schedule, duration=1000.0, grace=20.0)
     )
     assert windows[FaultKind.BLACKOUT] == (170.0, 300.0)
     assert windows[FaultKind.SERVER_STEP] == (370.0, 1000.0)
 
 
-def test_window_verdict_requires_samples_and_threshold():
-    errors = [(t, 0.001) for t in (10.0, 11.0, 12.0)]
-    good = _window_verdict(errors, episode_end=5.0, window=(9.0, 20.0),
-                           threshold=0.025)
-    assert good["recovered"] and good["samples"] == 3
-    assert good["recovery_s"] == pytest.approx(5.0)
-    # No samples in the window: not recovered, even with no bad errors.
-    starved = _window_verdict([], episode_end=5.0, window=(9.0, 20.0),
-                              threshold=0.025)
-    assert not starved["recovered"] and starved["max_abs_error_s"] is None
-    # A breach inside the window fails it.
-    breached = _window_verdict(
-        errors + [(13.0, 0.5)], episode_end=5.0, window=(9.0, 20.0),
-        threshold=0.025,
-    )
-    assert not breached["recovered"]
+def assert_mntp_survives(name, result):
+    """Hardened MNTP recovers after every fault episode of spec ``name``."""
+    spec = load_scenario(name)
+    errors = [
+        (p.time, abs(p.error))
+        for p in result.mntp_accepted()
+        if p.truth == p.truth  # not NaN
+    ]
+    windows = post_windows(spec.faults, spec.duration_s, GRACE_S)
+    assert len(windows) == len(spec.faults.episodes)
+    for episode, (w0, w1) in windows:
+        in_window = [e for t, e in errors if w0 <= t < w1]
+        # Sampling again after the episode ...
+        assert in_window, f"no MNTP sample after {episode.kind.value}"
+        # ... and back under the 25 ms bar.
+        assert max(in_window) < THRESHOLD_S, episode.kind.value
 
 
-def test_smoke_run_is_byte_deterministic_and_survives():
-    options = ChaosOptions(smoke=True, grace_s=60.0)
-    a = run_chaos(options)
-    b = run_chaos(options)
-    assert report_to_json(a) == report_to_json(b)
-    assert a["format"] == "mntp-chaos-report-v1"
-    assert a["verdict"]["mntp_survived"] is True
-    # Every episode must have produced MNTP samples in its window.
-    assert all(e["mntp"]["samples"] > 0 for e in a["episodes"])
+def test_smoke_run_is_byte_deterministic_and_survives(smoke_run):
+    assert archive(run_scenario("chaos_smoke", seed=0)) == archive(smoke_run)
+    assert_mntp_survives("chaos_smoke", smoke_run)
 
 
-def test_seed_changes_the_report():
-    base = run_chaos(ChaosOptions(smoke=True, grace_s=60.0))
-    other = run_chaos(ChaosOptions(smoke=True, grace_s=60.0, seed=11))
-    assert report_to_json(base) != report_to_json(other)
+def test_full_matrix_survives():
+    assert_mntp_survives("chaos_full", run_scenario("chaos_full", seed=0))
 
 
-def test_custom_schedule_round_trips_into_report():
-    schedule = FaultSchedule(
-        name="just-a-blackout",
-        episodes=[FaultEpisode(FaultKind.BLACKOUT, start=400.0, duration=30.0)],
-    )
-    report = run_chaos(
-        ChaosOptions(smoke=True, duration=700.0, grace_s=60.0),
-        schedule=schedule,
-    )
-    assert report["schedule"]["name"] == "just-a-blackout"
-    assert len(report["episodes"]) == 1
-    episode = report["episodes"][0]
-    assert episode["kind"] == "blackout"
-    assert episode["window"] == [490.0, 700.0]
-    assert episode["mntp"]["recovered"]
+def test_seed_changes_the_report(smoke_run):
+    assert archive(run_scenario("chaos_smoke", seed=11)) != archive(smoke_run)
 
 
 def test_fault_episodes_visible_in_causal_exchanges():

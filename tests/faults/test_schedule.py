@@ -1,5 +1,7 @@
 """FaultSchedule / FaultEpisode semantics and JSON round-tripping."""
 
+import json
+
 import pytest
 
 from repro.faults.schedule import (
@@ -82,11 +84,30 @@ def test_json_round_trip_is_lossless_and_stable():
                          target="tn"),
         ],
     )
-    text = schedule.to_json()
-    again = FaultSchedule.from_json(text)
+    text = json.dumps(schedule.to_dict(), sort_keys=True)
+    again = FaultSchedule.from_dict(json.loads(text))
     assert again == schedule
-    assert again.to_json() == text  # byte-stable
-    with pytest.raises(ValueError):
-        FaultSchedule.from_json("{not json")
-    with pytest.raises(ValueError):
-        FaultSchedule.from_json('{"episodes": [{"kind": "nope", "start": 0, "duration": 1}]}')
+    assert json.dumps(again.to_dict(), sort_keys=True) == text  # byte-stable
+    with pytest.raises(ValueError, match=r"faults.episodes\[0\]"):
+        FaultSchedule.from_dict(
+            {"episodes": [{"kind": "nope", "start": 0, "duration": 1}]}
+        )
+
+
+def test_from_dict_is_strict_and_names_the_path():
+    episode = {"kind": "blackout", "start": 0.0, "duration": 1.0}
+    assert len(FaultSchedule.from_dict({"episodes": [episode]})) == 1
+    with pytest.raises(ValueError, match=r"^faults: unknown keys \['epsiodes'\]"):
+        FaultSchedule.from_dict({"epsiodes": []})
+    with pytest.raises(ValueError,
+                       match=r"^faults.episodes\[1\]: unknown keys \['strt'\]"):
+        FaultSchedule.from_dict({"episodes": [episode, {**episode, "strt": 1}]})
+    with pytest.raises(ValueError,
+                       match=r"^faults.episodes\[0\]: missing key 'duration'"):
+        FaultSchedule.from_dict({"episodes": [{"kind": "blackout", "start": 0}]})
+    with pytest.raises(ValueError, match=r"^faults.episodes\[0\]: must be a JSON object"):
+        FaultSchedule.from_dict({"episodes": [["blackout"]]})
+    with pytest.raises(ValueError, match="^faults.episodes must be a list"):
+        FaultSchedule.from_dict({"episodes": {}})
+    with pytest.raises(ValueError, match="^faults: must be a JSON object"):
+        FaultSchedule.from_dict([])

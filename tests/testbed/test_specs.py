@@ -1,56 +1,58 @@
-"""ScenarioSpec: round-trip, strict validation, derivation, judging."""
+"""ScenarioSpec: round-trip, strict validation, the shipped set, judging."""
 
 from pathlib import Path
 
 import pytest
 
-from repro.faults.chaos import default_fault_matrix
-from repro.obs.health import SloSpec, smoke_spec
-from repro.testbed.scenarios import SCENARIOS
+from repro.clock.temperature import DiurnalTemperature
+from repro.obs.health import SloSpec
 from repro.testbed.specs import (
     SPEC_FORMAT,
     ScenarioSpec,
     TopologySpec,
-    chaos_matrix_spec,
-    default_specs,
     judge_result,
     load_spec,
     load_spec_dir,
     run_spec,
     save_spec,
-    spec_for_scenario,
-    write_default_specs,
 )
 
-REPO_SCENARIOS = Path(__file__).resolve().parents[2] / "scenarios"
+SPEC_DIR = Path(__file__).resolve().parents[2] / "scenarios"
+SPEC_FILES = sorted(SPEC_DIR.glob("*.json"))
 
 
-# -- round-trip ------------------------------------------------------------
+def shipped(name):
+    """A checked-in spec by file stem."""
+    return load_spec(str(SPEC_DIR / f"{name}.json"))
+
+
+# -- the checked-in spec files ---------------------------------------------
+
+
+def test_checked_in_spec_files_match_the_generator(tmp_path):
+    # The files are the only scenario definition: each must load
+    # strictly and be exactly what save_spec writes back for it, so a
+    # hand edit that leaves a non-canonical file (key order, float
+    # spelling, a missing default) fails here.
+    assert SPEC_FILES
+    for path in SPEC_FILES:
+        text = path.read_text()
+        spec = ScenarioSpec.from_json(text)
+        assert spec.name == path.stem, path.name
+        out = tmp_path / path.name
+        save_spec(spec, str(out))
+        assert out.read_text() == text, f"{path.name} is not canonical"
 
 
 def test_every_default_spec_round_trips():
-    for spec in default_specs():
-        assert ScenarioSpec.from_json(spec.to_json()) == spec
-
-
-def test_named_scenarios_derive_equivalent_options():
-    for name, scenario in SCENARIOS.items():
-        spec = spec_for_scenario(name)
-        assert spec.build_options() == scenario.options_factory()
-        assert spec.duration_s == scenario.duration
-        assert spec.cadence_s == scenario.cadence
-        assert spec.run_sntp == scenario.run_sntp
-        expected_mntp = (
-            scenario.mntp_config_factory()
-            if scenario.mntp_config_factory is not None
-            else None
-        )
-        assert spec.mntp == expected_mntp
+    for path in SPEC_FILES:
+        spec = load_spec(str(path))
+        assert ScenarioSpec.from_json(spec.to_json()) == spec, path.name
+        assert ScenarioSpec.from_dict(spec.to_dict()) == spec, path.name
 
 
 def test_chaos_full_spec_carries_the_twelve_episode_matrix():
-    spec = chaos_matrix_spec()
-    assert spec.faults == default_fault_matrix(smoke=False)
+    spec = shipped("chaos_full")
     assert len(spec.faults.episodes) == 12
     assert spec.minimal_guarantees is not None
     rt = ScenarioSpec.from_json(spec.to_json())
@@ -58,34 +60,14 @@ def test_chaos_full_spec_carries_the_twelve_episode_matrix():
     assert rt.minimal_guarantees == spec.minimal_guarantees
 
 
-def test_chaos_smoke_spec_embeds_the_smoke_slo_verbatim():
-    assert spec_for_scenario("chaos_smoke").guarantees == smoke_spec()
-
-
-def test_checked_in_spec_files_match_the_generator(tmp_path):
-    written = write_default_specs(str(tmp_path))
-    assert [Path(p).name for p in written] == sorted(
-        p.name for p in REPO_SCENARIOS.glob("*.json")
-    )
-    for path in written:
-        generated = Path(path).read_text()
-        checked_in = (REPO_SCENARIOS / Path(path).name).read_text()
-        assert generated == checked_in, (
-            f"{Path(path).name} is stale; regenerate with "
-            "write_default_specs('scenarios')"
-        )
-
-
 def test_load_spec_dir_round_trips_the_shipped_set():
-    specs = load_spec_dir(str(REPO_SCENARIOS))
-    assert [s.name for s in specs] == sorted(s.name for s in default_specs())
-    by_name = {s.name: s for s in default_specs()}
-    for spec in specs:
-        assert spec == by_name[spec.name]
+    specs = load_spec_dir(str(SPEC_DIR))
+    assert [s.name for s in specs] == [p.stem for p in SPEC_FILES]
+    assert specs == [load_spec(str(p)) for p in SPEC_FILES]
 
 
 def test_load_spec_dir_rejects_duplicate_names(tmp_path):
-    spec = spec_for_scenario("wired_corrected")
+    spec = shipped("wired_corrected")
     save_spec(spec, str(tmp_path / "a.json"))
     save_spec(spec, str(tmp_path / "b.json"))
     with pytest.raises(ValueError, match="duplicate spec name"):
@@ -96,7 +78,7 @@ def test_load_spec_dir_rejects_duplicate_names(tmp_path):
 
 
 def base_dict():
-    return spec_for_scenario("wired_corrected").to_dict()
+    return shipped("wired_corrected").to_dict()
 
 
 def test_unknown_top_level_key_rejected():
@@ -122,14 +104,14 @@ def test_unknown_guarantee_key_names_the_block():
 
 
 def test_unknown_mntp_key_rejected():
-    data = spec_for_scenario("chaos_smoke").to_dict()
+    data = shipped("chaos_smoke").to_dict()
     data["mntp"]["warmup_periods"] = 1.0
     with pytest.raises(ValueError, match="spec.mntp: unknown keys"):
         ScenarioSpec.from_dict(data)
 
 
 def test_unknown_fault_episode_key_carries_its_index():
-    data = spec_for_scenario("chaos_smoke").to_dict()
+    data = shipped("chaos_smoke").to_dict()
     data["faults"]["episodes"][1]["strt"] = 1.0
     with pytest.raises(ValueError,
                        match=r"spec.faults.episodes\[1\]: unknown keys"):
@@ -151,12 +133,12 @@ def test_unknown_temperature_profile_rejected():
 
 
 def test_temperature_profiles_round_trip():
-    spec = spec_for_scenario("mntp_insitu_24h")
+    spec = shipped("mntp_insitu_24h")
     rt = ScenarioSpec.from_json(spec.to_json())
     assert rt.topology.temperature == spec.topology.temperature
-    assert rt.build_options() == SCENARIOS[
-        "mntp_insitu_24h"
-    ].options_factory()
+    assert rt.build_options().temperature == DiurnalTemperature(
+        mean_c=26.0, amplitude_c=8.0
+    )
 
 
 def test_invalid_timing_fields_rejected():
