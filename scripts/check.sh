@@ -15,15 +15,14 @@ cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 echo "== repro-mntp lint (all rules, src)"
-# Every shipped rule, including the hot-closure telemetry rule (OBS003)
-# and the CFG resource-typestate rules (RES).  Warm runs hit the
-# content-hash cache (.repro-lint-cache.json) and skip re-parsing
-# unchanged files entirely.
+# Every shipped rule, including the CFG resource-typestate rules (RES).
+# Warm runs hit the content-hash cache (.repro-lint-cache.json) and skip
+# re-parsing unchanged files entirely.
 python -m repro.analysis src
 
 echo "== repro-mntp lint (determinism + resource rules, tests)"
 python -m repro.analysis tests \
-    --select DET001,DET002,DET003,DET004,RES001,RES002,RES003
+    --select DET001,DET002,DET003,DET004,RES001,RES003
 
 if python -m ruff --version >/dev/null 2>&1; then
     echo "== ruff"

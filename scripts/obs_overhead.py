@@ -2,8 +2,8 @@
 """Telemetry overhead gate: instrumented ≤ 15% over bare.
 
 Runs the profile smoke scenario (wireless + MNTP, 900 virtual seconds)
-with telemetry fully enabled (ring-buffered emission, metrics, spans,
-and the streaming run-health monitor evaluating the default SLO spec)
+with telemetry fully enabled (trace records, metrics, spans, and the
+streaming run-health monitor evaluating the default SLO spec)
 and with ``instrument=False`` (null facades), five interleaved pairs,
 and gates the **median of the per-pair ratios**.  Each bare run is
 immediately followed by its instrumented partner, so both sides of a

@@ -33,14 +33,10 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 #: Bumped whenever findings, summaries, or rule semantics change shape;
 #: part of the incremental cache key so stale caches self-invalidate.
-TOOL_VERSION = "5.0"
+TOOL_VERSION = "6.0"
 
 #: Matches ``# repro: noqa`` with an optional ``[RULE1,RULE2]`` list.
 _NOQA_RE = re.compile(r"#\s*repro:\s*noqa(?P<rest>\[[^\]]*\])?")
-
-#: Matches ``# repro: hot`` — forces the function defined on that line
-#: into the hot closure (see :mod:`repro.analysis.flow.hot`).
-_HOT_RE = re.compile(r"#\s*repro:\s*hot\b")
 
 #: A well-formed, non-empty rule list: ``[DET001]``, ``[A, B]``.
 _NOQA_RULES_RE = re.compile(r"\[\s*[A-Za-z0-9_]+(?:\s*,\s*[A-Za-z0-9_]+)*\s*\]")
@@ -110,7 +106,6 @@ class SourceModule:
     module: Tuple[str, ...]      # dotted-module parts, e.g. ("repro", "ntp", "wire")
     noqa: Dict[int, Set[str]] = field(default_factory=dict)
     noqa_problems: List[Tuple[int, str]] = field(default_factory=list)
-    hot_lines: Set[int] = field(default_factory=set)  # "# repro: hot" lines
 
     @property
     def is_init(self) -> bool:
@@ -165,15 +160,6 @@ def _parse_noqa(text: str) -> Tuple[Dict[int, Set[str]], List[Tuple[int, str]]]:
     return table, problems
 
 
-def _parse_hot(text: str) -> Set[int]:
-    """Line numbers carrying a ``# repro: hot`` annotation."""
-    lines: Set[int] = set()
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if "repro:" in line and _HOT_RE.search(line):
-            lines.add(lineno)
-    return lines
-
-
 def module_parts_for(path: Path) -> Tuple[str, ...]:
     """Infer dotted-module parts from a filesystem path.
 
@@ -205,7 +191,7 @@ def source_from_text(
     noqa, problems = _parse_noqa(text)
     return SourceModule(
         path=path, text=text, tree=tree, module=module,
-        noqa=noqa, noqa_problems=problems, hot_lines=_parse_hot(text),
+        noqa=noqa, noqa_problems=problems,
     )
 
 

@@ -28,7 +28,6 @@ from repro.analysis.flow.dataflow import (
     exit_edge_states,
     solve_forward,
 )
-from repro.analysis.flow.hot import HOT_ROOTS, hot_closure
 from repro.analysis.flow.project import (
     ClassEntry,
     EffectPath,
@@ -44,7 +43,6 @@ from repro.analysis.flow.summary import (
     EffectSite,
     FunctionInfo,
     ModuleSummary,
-    ObsSite,
     summarize,
 )
 
@@ -69,11 +67,8 @@ __all__ = [
     "EffectSite",
     "FunctionEntry",
     "FunctionInfo",
-    "HOT_ROOTS",
     "MODULE_BODY",
     "ModuleSummary",
-    "ObsSite",
     "Project",
-    "hot_closure",
     "summarize",
 ]

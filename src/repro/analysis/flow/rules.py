@@ -1,11 +1,10 @@
-"""Interprocedural rules: UNIT004, UNIT005, DET004, COR005, OBS003.
+"""Interprocedural rules: UNIT004, UNIT005, DET004, COR005.
 
 These run in the engine's second phase over a :class:`Project` built
 from every analysed module, so they see across function and module
 boundaries: a ``_ms`` value flowing into a ``_s`` parameter two modules
 away, a wall-clock call hidden behind a helper outside the simulation
-packages, a public function nothing calls, a direct TraceLog write
-reached from the simulator inner loop.
+packages, a public function nothing calls.
 
 Cross-file findings carry an *endpoint* (``path::qualname`` of the
 other end) so the reader can see both ends of the edge.
@@ -16,7 +15,6 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.analysis.engine import Finding, ProjectRule
-from repro.analysis.flow.hot import chain_label, hot_closure
 from repro.analysis.flow.project import FunctionEntry
 from repro.analysis.flow.summary import MODULE_BODY
 from repro.analysis.rules import register_project
@@ -245,65 +243,4 @@ class DeadPublicFunctionRule(ProjectRule):
                     "remove it or add a caller/test"
                 ),
             )
-        return self.findings
-
-
-@register_project
-class DirectEmissionRule(ProjectRule):
-    """Flag telemetry emission bypassing the ring sink in hot code.
-
-    Hot-closure code must emit through the ring-buffer sink
-    (``telemetry.emit`` / ``telemetry.count``), never by appending to
-    the TraceLog or resolving a metric from the registry per event —
-    those are exactly the per-event costs the ring batches away.  The
-    rule only fires inside the hot closure; a direct ``trace.emit`` in
-    a report formatter or a test helper is fine.
-    """
-
-    rule_id = "OBS003"
-    summary = (
-        "no direct TraceLog append (trace.emit/trace.append) or "
-        "per-event registry resolution (metrics.counter/gauge/"
-        "histogram) in a hot-closure function; route emission through "
-        "the ring-buffer sink via telemetry.emit / telemetry.count"
-    )
-
-    #: Human label per obs-site kind recorded by the summarizer.
-    _LABELS = {
-        "emit": "direct TraceLog write {detail}",
-        "registry": "per-event metric registry resolution {detail}",
-    }
-
-    _ADVICE = {
-        "emit": (
-            "batch it through the ring sink: telemetry.emit(...) "
-            "stages the record and flushes in bulk"
-        ),
-        "registry": (
-            "hoist the instrument to __init__ or use "
-            "telemetry.count(name), which accumulates deltas in the "
-            "ring and applies them at flush"
-        ),
-    }
-
-    def run(self) -> List[Finding]:
-        """Every obs site inside every hot function, with witness chain."""
-        project = self.project
-        closure = hot_closure(project)
-        for full in sorted(closure):
-            entry = project.functions[full]
-            chain = closure[full]
-            root = project.functions[chain[0]]
-            for site in entry.info.obs_sites:
-                self.report(
-                    path=entry.module.path,
-                    lineno=site.lineno,
-                    col=site.col,
-                    message=(
-                        f"{self._LABELS[site.kind].format(detail=site.detail)}"
-                        f" in hot function '{entry.display}' "
-                        f"({chain_label(chain)}); {self._ADVICE[site.kind]}"
-                    ),
-                    endpoint=root.endpoint() if len(chain) > 1 else "",
-                )
         return self.findings

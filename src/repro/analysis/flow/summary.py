@@ -150,34 +150,6 @@ class AssignFromCall:
 
 
 @dataclass
-class ObsSite:
-    """A direct telemetry emission inside a function (OBS003).
-
-    ``kind`` is ``emit`` (a write straight into the TraceLog) or
-    ``registry`` (a per-event metric registry lookup).
-    """
-
-    kind: str
-    lineno: int
-    col: int
-    detail: str                    # short human text for the message
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-serializable form (cache record)."""
-        return {
-            "kind": self.kind, "lineno": self.lineno, "col": self.col,
-            "detail": self.detail,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ObsSite":
-        return cls(
-            kind=data["kind"], lineno=data["lineno"], col=data["col"],
-            detail=data["detail"],
-        )
-
-
-@dataclass
 class FunctionInfo:
     """Everything the project pass needs to know about one function."""
 
@@ -196,8 +168,6 @@ class FunctionInfo:
     is_public: bool = True
     is_method: bool = False
     decorated: bool = False
-    hot_annotated: bool = False    # "# repro: hot" on the def line
-    obs_sites: List[ObsSite] = field(default_factory=list)  # OBS003
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-serializable form (cache record)."""
@@ -213,8 +183,6 @@ class FunctionInfo:
             "effects": [e.to_dict() for e in self.effects],
             "is_public": self.is_public, "is_method": self.is_method,
             "decorated": self.decorated,
-            "hot_annotated": self.hot_annotated,
-            "obs_sites": [p.to_dict() for p in self.obs_sites],
         }
 
     @classmethod
@@ -231,8 +199,6 @@ class FunctionInfo:
             effects=[EffectSite.from_dict(e) for e in data["effects"]],
             is_public=data["is_public"], is_method=data["is_method"],
             decorated=data["decorated"],
-            hot_annotated=data["hot_annotated"],
-            obs_sites=[ObsSite.from_dict(p) for p in data["obs_sites"]],
         )
 
 
@@ -394,7 +360,6 @@ class _Summarizer:
     ) -> None:
         assert isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         qualname = f"{class_name}.{node.name}" if class_name else node.name
-        hot_lines = self.module.hot_lines
         info = FunctionInfo(
             qualname=qualname, name=node.name,
             lineno=node.lineno, col=node.col_offset + 1,
@@ -402,10 +367,6 @@ class _Summarizer:
             is_public=not node.name.startswith("_"),
             is_method=class_name is not None,
             decorated=bool(node.decorator_list),
-            hot_annotated=(
-                node.lineno in hot_lines
-                or any(d.lineno in hot_lines for d in node.decorator_list)
-            ),
         )
         _signature_units(node.args, info, skip_first=class_name is not None)
         for decorator in node.decorator_list:
@@ -415,7 +376,6 @@ class _Summarizer:
         for stmt in node.body:
             self._collect(stmt, info, function=qualname,
                           collect_returns=True, class_name=class_name)
-        info.obs_sites = _ObsScan(node).sites
         self.summary.functions.append(info)
 
     def _class(self, node: ast.ClassDef, module_fn: FunctionInfo) -> None:
@@ -649,72 +609,6 @@ def _signature_units(
     )
     info.has_vararg = args.vararg is not None
     info.has_kwarg = args.kwarg is not None
-
-
-def _attr_chain(node: ast.AST) -> Optional[str]:
-    """``a.b.c`` for a pure Name-rooted attribute chain, else None."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    parts.append(node.id)
-    return ".".join(reversed(parts))
-
-
-class _ObsScan(ast.NodeVisitor):
-    """Direct telemetry emission sites in one function body (OBS003).
-
-    A call whose attribute chain ends ``<trace|_trace>.<emit|append>``
-    writes straight into the TraceLog; one ending
-    ``<metrics|_metrics>.<counter|gauge|histogram>`` does a per-event
-    registry lookup.  Both bypass the ring-buffer sink, which the
-    sanctioned ``telemetry.emit`` / ``telemetry.count`` facade routes
-    through.  Sites are recorded unconditionally; the OBS003 rule only
-    surfaces them when the function sits in a hot closure.  Nested
-    ``def``/``lambda`` bodies and exceptional paths are skipped.
-    """
-
-    def __init__(self, node: ast.AST) -> None:
-        self.sites: List[ObsSite] = []
-        assert isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        for stmt in node.body:
-            self.visit(stmt)
-        self.sites.sort(key=lambda s: (s.lineno, s.col, s.kind))
-
-    def visit_FunctionDef(self, node: ast.AST) -> None:
-        pass
-
-    visit_AsyncFunctionDef = visit_FunctionDef
-    visit_Lambda = visit_FunctionDef
-
-    def visit_Raise(self, node: ast.Raise) -> None:
-        pass  # exceptional paths may build messages freely
-
-    def visit_Assert(self, node: ast.Assert) -> None:
-        self.visit(node.test)  # the message is an exceptional path too
-
-    def visit_Call(self, node: ast.Call) -> None:
-        chain = _attr_chain(node.func)
-        parts = chain.split(".") if chain is not None else []
-        if len(parts) >= 2:
-            recv, meth = parts[-2], parts[-1]
-            kind = None
-            if recv in ("trace", "_trace") and meth in ("emit", "append"):
-                kind = "emit"
-            elif recv in ("metrics", "_metrics") and meth in (
-                "counter", "gauge", "histogram"
-            ):
-                kind = "registry"
-            if kind is not None:
-                self.sites.append(
-                    ObsSite(
-                        kind=kind, lineno=node.lineno,
-                        col=node.col_offset + 1, detail=f"'{chain}'",
-                    )
-                )
-        self.generic_visit(node)
 
 
 def _all_exports(tree: ast.Module) -> List[str]:

@@ -68,15 +68,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="export the run's telemetry as JSONL")
     run.add_argument("--json", action="store_true",
                      help="print the summary as JSON instead of tables")
-    run.add_argument("--sample-rate", dest="sample_rate", type=int,
-                     default=None, metavar="N",
-                     help="keep 1-in-N trace exchanges (deterministic "
-                     "keyed sampling; errors/drops/fault windows always "
-                     "kept)")
-    run.add_argument("--ring-capacity", dest="ring_capacity", type=int,
-                     default=None, metavar="SLOTS",
-                     help="telemetry ring-buffer slots before a batch "
-                     "flush (default 1024)")
     run.add_argument("--watch", action="store_true",
                      help="attach the streaming health monitor and print "
                      "one line per SLO evaluation during the run")
@@ -103,11 +94,6 @@ def _build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--kind", help="show only this record kind")
     trace.add_argument("--limit", type=int, default=20,
                        help="max records to print (default 20)")
-    trace.add_argument("--sample-rate", dest="sample_rate", type=int,
-                       default=None, metavar="N",
-                       help="downsample the archived records to 1-in-N "
-                       "exchanges before display/export (same "
-                       "deterministic rules as 'run --sample-rate')")
 
     explain = sub.add_parser(
         "explain",
@@ -315,8 +301,6 @@ def _cmd_run(args) -> int:
         result = run_scenario(
             args.scenario,
             seed=args.seed,
-            sample_rate=getattr(args, "sample_rate", None),
-            ring_capacity=getattr(args, "ring_capacity", None),
             health_spec=health_spec,
             on_health=_print_health_line if watch else None,
         )
@@ -373,14 +357,30 @@ def _print_health_line(row: Dict[str, Any]) -> None:
           f"rate={fmt('exchange_rate_per_s', '/s')}{fault}")
 
 
-def _cmd_replay(args) -> int:
+def _load_archive(path: str, need_telemetry: bool = True):
+    """The archived run at ``path`` (None + stderr message on error).
+
+    With ``need_telemetry`` an archive without a telemetry payload is
+    an error too.
+    """
     from repro.testbed.persistence import load_result
 
     try:
-        with open(args.path) as f:
+        with open(path) as f:
             result = load_result(f)
     except (OSError, ValueError) as exc:
-        print(f"cannot load {args.path}: {exc}", file=sys.stderr)
+        print(f"cannot load {path}: {exc}", file=sys.stderr)
+        return None
+    if need_telemetry and result.telemetry is None:
+        print(f"{path} has no telemetry payload (saved by an older "
+              "version?)", file=sys.stderr)
+        return None
+    return result
+
+
+def _cmd_replay(args) -> int:
+    result = _load_archive(args.path, need_telemetry=False)
+    if result is None:
         return 2
     if getattr(args, "json", False):
         print(json.dumps(_summary_dict(result), sort_keys=True, indent=2))
@@ -451,47 +451,14 @@ def _summarise(result) -> int:
     return 0
 
 
-def _load_archived_telemetry(path: str):
-    """Telemetry snapshot out of an archived run (None + message if absent)."""
-    from repro.testbed.persistence import load_result
-
-    try:
-        with open(path) as f:
-            result = load_result(f)
-    except (OSError, ValueError) as exc:
-        print(f"cannot load {path}: {exc}", file=sys.stderr)
-        return None
-    if result.telemetry is None:
-        print(f"{path} has no telemetry payload (saved by an older "
-              "version?)", file=sys.stderr)
-        return None
-    return result.telemetry
-
-
 def _cmd_trace(args) -> int:
     from repro.obs import SPAN_COMPONENT, write_chrome_trace, write_jsonl
 
-    snapshot = _load_archived_telemetry(args.path)
-    if snapshot is None:
+    result = _load_archive(args.path)
+    if result is None:
         return 2
+    snapshot = result.telemetry
     records = snapshot.get("records", [])
-    rate = getattr(args, "sample_rate", None)
-    if rate is not None:
-        from repro.obs import TraceSampler
-
-        try:
-            sampler = TraceSampler(rate)
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        records = [
-            r for r in records
-            if sampler.keep_record(r.get("kind", ""), r.get("data", {}))
-        ]
-        snapshot = dict(snapshot)
-        snapshot["records"] = records
-        print(f"sampled 1-in-{sampler.rate}: kept {sampler.kept}, "
-              f"dropped {sampler.dropped}")
     if getattr(args, "chrome", None):
         with open(args.chrome, "w") as f:
             n = write_chrome_trace(snapshot, f)
@@ -534,17 +501,9 @@ def _cmd_trace(args) -> int:
 
 def _cmd_explain(args) -> int:
     from repro.obs import assemble_exchanges, decompose, explain_run, render_tree
-    from repro.testbed.persistence import load_result
 
-    try:
-        with open(args.path) as f:
-            result = load_result(f)
-    except (OSError, ValueError) as exc:
-        print(f"cannot load {args.path}: {exc}", file=sys.stderr)
-        return 2
-    if result.telemetry is None:
-        print(f"{args.path} has no telemetry payload (saved by an older "
-              "version?)", file=sys.stderr)
+    result = _load_archive(args.path)
+    if result is None:
         return 2
     samples = result.offset_samples()
     if getattr(args, "trace_id", None):
@@ -584,7 +543,6 @@ def _cmd_explain(args) -> int:
 
 def _cmd_health(args) -> int:
     from repro.obs import render_health_text, replay_health
-    from repro.testbed.persistence import load_result
 
     spec = None
     if getattr(args, "slo", None):
@@ -592,15 +550,8 @@ def _cmd_health(args) -> int:
         if spec is None:
             return 2
 
-    try:
-        with open(args.path) as f:
-            result = load_result(f)
-    except (OSError, ValueError) as exc:
-        print(f"cannot load {args.path}: {exc}", file=sys.stderr)
-        return 2
-    if result.telemetry is None:
-        print(f"{args.path} has no telemetry payload (saved by an older "
-              "version?)", file=sys.stderr)
+    result = _load_archive(args.path)
+    if result is None:
         return 2
     monitor = replay_health(
         result.telemetry, samples=result.offset_samples(), spec=spec
@@ -614,43 +565,38 @@ def _cmd_health(args) -> int:
 
 
 def _load_diff_document(path: str):
-    """A diffable document from JSON or JSONL (None + stderr on error)."""
-    from repro.obs import load_jsonl
+    """(snapshot, truth samples) from a JSON or JSONL document.
+
+    Returns None, with a stderr message, when the file cannot be read
+    or holds nothing diffable (see :func:`repro.obs.coerce_snapshot`).
+    """
+    import io
+
+    from repro.obs import coerce_snapshot, load_jsonl
 
     try:
         with open(path) as f:
             text = f.read()
-    except OSError as exc:
-        print(f"cannot load {path}: {exc}", file=sys.stderr)
-        return None
-    try:
-        return json.loads(text)
-    except ValueError:
-        pass
-    import io
-
-    try:
-        return load_jsonl(io.StringIO(text))
-    except ValueError as exc:
+        try:
+            document = json.loads(text)
+        except ValueError:
+            document = load_jsonl(io.StringIO(text))
+        return coerce_snapshot(document)
+    except (OSError, ValueError) as exc:
         print(f"cannot load {path}: {exc}", file=sys.stderr)
         return None
 
 
 def _cmd_diff(args) -> int:
-    from repro.obs import coerce_snapshot, diff_snapshots, render_diff_text
+    from repro.obs import diff_snapshots, render_diff_text
 
-    doc_a = _load_diff_document(args.a)
-    if doc_a is None:
+    loaded_a = _load_diff_document(args.a)
+    if loaded_a is None:
         return 2
-    doc_b = _load_diff_document(args.b)
-    if doc_b is None:
+    loaded_b = _load_diff_document(args.b)
+    if loaded_b is None:
         return 2
-    try:
-        snap_a, samples_a = coerce_snapshot(doc_a)
-        snap_b, samples_b = coerce_snapshot(doc_b)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    (snap_a, samples_a), (snap_b, samples_b) = loaded_a, loaded_b
     diff = diff_snapshots(
         snap_a, snap_b, samples_a=samples_a, samples_b=samples_b
     )
@@ -674,13 +620,12 @@ def _cmd_metrics(args) -> int:
         print("--out only applies with --merge", file=sys.stderr)
         return 2
     if args.path is not None:
-        snapshot = _load_archived_telemetry(args.path)
-        if snapshot is None:
+        result = _load_archive(args.path)
+        if result is None:
             return 2
     else:
         result = run_scenario("mntp_wireless_corrected", seed=args.seed)
-        snapshot = result.telemetry
-    sys.stdout.write(render_prometheus(snapshot))
+    sys.stdout.write(render_prometheus(result.telemetry))
     return 0
 
 
@@ -691,15 +636,18 @@ def _merge_shard_files(paths: List[str], out: Optional[str]) -> int:
     bytes are identical for any permutation of ``paths``.
     """
     from repro.obs import merge_documents, render_prometheus, write_merged_jsonl
+    from repro.obs.merge import coerce_shard
 
     documents = []
     for path in paths:
         try:
             with open(path) as f:
-                documents.append(json.load(f))
+                document = json.load(f)
+            coerce_shard(document)
         except (OSError, ValueError) as exc:
             print(f"cannot load {path}: {exc}", file=sys.stderr)
             return 2
+        documents.append(document)
     try:
         merged = merge_documents(documents)
         if out:

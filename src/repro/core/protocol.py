@@ -177,8 +177,8 @@ class Mntp:
             "absolute filter residual of each offered offset",
             buckets=_RESIDUAL_MS_BUCKETS,
         )
-        # Precomputed per-event counter names: _emit runs inside the
-        # hot closure, where an f-string per event is real cost.
+        # Precomputed per-event counter names: _emit runs once per
+        # protocol event, where an f-string per event is real cost.
         self._counter_names = {
             kind: f"mntp_{kind.value}_total" for kind in MntpEventKind
         }
@@ -431,10 +431,6 @@ class Mntp:
             residual = uncorrected - outcome.predicted
             abs_residual_ms = abs(residual) * 1000.0
             self._residual_hist.observe(abs_residual_ms)
-            if self._sim.telemetry.sampler is not None:
-                self._sim.telemetry.observe_exemplar(
-                    "mntp_abs_residual_ms", abs_residual_ms, ref=f"t={now:.3f}"
-                )
         report = MntpReport(
             time=now, offset=offset, accepted=accepted, phase=self.phase,
             residual=residual,

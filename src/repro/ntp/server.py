@@ -141,7 +141,7 @@ class NtpServer:
         self.config = config
         self.send_reply = send_reply
         self._rng = sim.rng.stream(f"server:{config.name}")
-        # Trace component name, precomputed: on_datagram is a hot root
+        # Trace component name, precomputed: on_datagram runs per packet
         # and an f-string per ignored packet is per-event cost.
         self._component = f"server:{config.name}"
         #: Transient fault flags, mutated by the fault injector at

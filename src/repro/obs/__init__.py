@@ -22,14 +22,6 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
 )
-from repro.obs.ringbuf import DEFAULT_RING_CAPACITY, RingBufferSink
-from repro.obs.sampling import (
-    DEFAULT_EXEMPLARS,
-    ERROR_KINDS,
-    Reservoir,
-    TraceSampler,
-    stable_hash,
-)
 from repro.obs.spans import SPAN_COMPONENT, Span, SpanTracer
 from repro.obs.telemetry import (
     TELEMETRY_FORMAT,
@@ -95,24 +87,17 @@ from repro.obs.diff import (
 
 __all__ = [
     "Counter",
-    "DEFAULT_EXEMPLARS",
-    "DEFAULT_RING_CAPACITY",
-    "ERROR_KINDS",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "Reservoir",
-    "RingBufferSink",
     "SHARD_FORMAT",
     "SPAN_COMPONENT",
     "Span",
     "SpanTracer",
-    "TraceSampler",
     "content_id",
     "iter_merged_records",
     "make_shard",
     "merge_documents",
-    "stable_hash",
     "stream_jsonl",
     "write_merged_jsonl",
     "TELEMETRY_FORMAT",

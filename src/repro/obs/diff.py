@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.obs.explain import CAUSES, explain_run
-from repro.obs.merge import SHARD_FORMAT
+from repro.obs.merge import SHARD_FORMAT, coerce_shard
 from repro.obs.spans import SPAN_COMPONENT
 from repro.obs.telemetry import TELEMETRY_FORMAT
 
@@ -55,17 +55,19 @@ def coerce_snapshot(
     decomposition, not just raw offsets.
 
     Raises:
-        ValueError: If the document is none of those formats, or an
-            experiment archive carries no telemetry.
+        ValueError: If the document is not a JSON object or none of
+            those formats, or an experiment archive carries no
+            telemetry.
     """
+    if not isinstance(document, dict):
+        raise ValueError(
+            f"expected a JSON object, got {type(document).__name__}"
+        )
     fmt = document.get("format")
     if fmt == TELEMETRY_FORMAT:
         return document, None
     if fmt == SHARD_FORMAT:
-        snapshot = document.get("snapshot", {})
-        if snapshot.get("format") != TELEMETRY_FORMAT:
-            raise ValueError("shard envelope without a telemetry snapshot")
-        return snapshot, None
+        return coerce_shard(document)[1], None
     if fmt == _EXPERIMENT_FORMAT:
         snapshot = document.get("telemetry")
         if not isinstance(snapshot, dict):

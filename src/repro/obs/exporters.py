@@ -43,8 +43,8 @@ def jsonl_lines(
     given — the snapshot's own list by default, or a generator (a
     shard merge, a live trace walk) supplied via ``records`` together
     with its known ``record_count``.  Nothing beyond the line being
-    encoded is materialised, so sampled multi-shard exports stay
-    O(batch) in memory.
+    encoded is materialised, so multi-shard exports stay O(batch) in
+    memory.
     """
     if records is None:
         records = snapshot.get("records", [])
@@ -64,11 +64,6 @@ def jsonl_lines(
         # Nested: the metric's own "type" (counter/gauge/...) must not
         # collide with the line discriminator.
         yield _dumps({"type": "metric", "metric": metric})
-    sampling = snapshot.get("sampling")
-    if sampling:
-        yield _dumps({"type": "sampling", "sampling": sampling})
-    for name, reservoir in sorted(snapshot.get("exemplars", {}).items()):
-        yield _dumps({"type": "exemplar", "name": name, "reservoir": reservoir})
     for record in records:
         yield _dumps({"type": "record", **record})
 
@@ -95,21 +90,10 @@ def stream_jsonl(telemetry: Any, fileobj: IO[str]) -> int:
     a time straight off the :class:`~repro.simcore.trace.TraceLog`.
     Returns the number of lines written.
     """
-    telemetry.flush()
     snapshot = {
         "format": TELEMETRY_FORMAT,
         "metrics": telemetry.metrics.snapshot(),
     }
-    sampler = getattr(telemetry, "sampler", None)
-    if sampler is not None:
-        snapshot["sampling"] = {
-            "rate": sampler.rate,
-            "kept": sampler.kept,
-            "dropped": sampler.dropped,
-        }
-        exemplars = sampler.exemplars_snapshot()
-        if exemplars:
-            snapshot["exemplars"] = exemplars
     return write_jsonl(
         snapshot,
         fileobj,
@@ -127,8 +111,6 @@ def load_jsonl(fileobj: IO[str]) -> Dict[str, Any]:
     meta: Dict[str, Any] = {}
     metrics: List[Dict[str, Any]] = []
     records: List[Dict[str, Any]] = []
-    sampling: Dict[str, Any] = {}
-    exemplars: Dict[str, Any] = {}
     for lineno, line in enumerate(fileobj, start=1):
         line = line.strip()
         if not line:
@@ -144,24 +126,15 @@ def load_jsonl(fileobj: IO[str]) -> Dict[str, Any]:
             metrics.append(dict(obj.get("metric", {})))
         elif kind == "record":
             records.append({k: v for k, v in obj.items() if k != "type"})
-        elif kind == "sampling":
-            sampling = dict(obj.get("sampling", {}))
-        elif kind == "exemplar":
-            exemplars[str(obj.get("name", ""))] = dict(obj.get("reservoir", {}))
         else:
             raise ValueError(f"line {lineno}: unknown entry type {kind!r}")
     if meta.get("format") != TELEMETRY_FORMAT:
         raise ValueError(f"not a {TELEMETRY_FORMAT} document")
-    snapshot: Dict[str, Any] = {
+    return {
         "format": TELEMETRY_FORMAT,
         "metrics": metrics,
         "records": records,
     }
-    if sampling:
-        snapshot["sampling"] = sampling
-    if exemplars:
-        snapshot["exemplars"] = exemplars
-    return snapshot
 
 
 # -- Chrome trace-event format -------------------------------------------

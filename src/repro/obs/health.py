@@ -17,7 +17,7 @@ against a declarative :class:`SloSpec`:
 
 Evaluations drive a deterministic state machine (``ok`` → ``degraded``
 → ``violated`` → ``recovered``); every state change is recorded as a
-``health.transition`` span through the OBS003-sanctioned emission path,
+``health.transition`` span through the run's telemetry bundle,
 annotated with whether it happened inside a fault-injection window (or
 its grace period) so an expected in-episode violation is distinguished
 from a real one.  :meth:`HealthMonitor.report` freezes everything into
@@ -148,8 +148,8 @@ class HealthMonitor:
         telemetry: When given (the live run loop passes the
             simulator's bundle), transitions are also emitted as
             ``health.transition`` spans and counters through the
-            ring-buffered path, so the monitor stays OBS003-clean and
-            inside the obs-overhead gate.  Replay monitors omit it.
+            bundle, so they stay inside the obs-overhead gate.  Replay
+            monitors omit it.
     """
 
     def __init__(

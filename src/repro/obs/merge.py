@@ -1,8 +1,8 @@
 """Canonical, order-independent merge of telemetry shard snapshots.
 
-The ROADMAP #1 shard split fans simulation work across processes; each
-worker produces one telemetry snapshot and this module defines the
-contract for combining them:
+The scenario matrix fans spec runs across worker processes; each run
+produces one telemetry snapshot and this module defines the contract
+for combining them:
 
 * **Envelope** — :data:`SHARD_FORMAT` (``mntp-telemetry-shard-v1``)
   wraps a plain ``mntp-telemetry-v1`` snapshot with a shard id and
@@ -72,12 +72,17 @@ def coerce_shard(document: Dict[str, Any]) -> Tuple[str, Snapshot]:
     """(shard id, snapshot) from an envelope or a bare snapshot.
 
     Raises:
-        ValueError: If the document is neither format.
+        ValueError: If the document is not a JSON object, or is
+            neither format.
     """
+    if not isinstance(document, dict):
+        raise ValueError(
+            f"expected a JSON object, got {type(document).__name__}"
+        )
     fmt = document.get("format")
     if fmt == SHARD_FORMAT:
-        snapshot = document.get("snapshot", {})
-        if snapshot.get("format") != TELEMETRY_FORMAT:
+        snapshot = document.get("snapshot")
+        if not isinstance(snapshot, dict) or snapshot.get("format") != TELEMETRY_FORMAT:
             raise ValueError("shard envelope without a telemetry snapshot")
         return str(document.get("shard", "")), snapshot
     if fmt == TELEMETRY_FORMAT:
@@ -190,54 +195,6 @@ def _merge_metrics(
     return [_merge_metric_group(name, groups[name]) for name in sorted(groups)]
 
 
-# -- sampling / exemplars --------------------------------------------------
-
-
-def _merge_sampling(
-    shards: Sequence[Tuple[str, Snapshot]],
-) -> Optional[Dict[str, Any]]:
-    infos = [
-        snapshot["sampling"]
-        for _sid, snapshot in shards
-        if "sampling" in snapshot
-    ]
-    if not infos:
-        return None
-    return {
-        "rate": max(info.get("rate", 1) for info in infos),
-        "kept": sum(info.get("kept", 0) for info in infos),
-        "dropped": sum(info.get("dropped", 0) for info in infos),
-    }
-
-
-def _merge_exemplars(
-    shards: Sequence[Tuple[str, Snapshot]],
-) -> Dict[str, Any]:
-    groups: Dict[str, List[Dict[str, Any]]] = {}
-    for _sid, snapshot in shards:
-        for name, reservoir in snapshot.get("exemplars", {}).items():
-            groups.setdefault(name, []).append(reservoir)
-    merged: Dict[str, Any] = {}
-    for name in sorted(groups):
-        reservoirs = groups[name]
-        capacity = max(r.get("capacity", 1) for r in reservoirs)
-        entries = sorted(
-            (
-                (e["key"], e["value"], e.get("ref", ""))
-                for r in reservoirs
-                for e in r.get("entries", [])
-            ),
-        )[:capacity]
-        merged[name] = {
-            "capacity": capacity,
-            "seen": sum(r.get("seen", 0) for r in reservoirs),
-            "entries": [
-                {"key": k, "value": v, "ref": ref} for k, v, ref in entries
-            ],
-        }
-    return merged
-
-
 # -- whole-snapshot merge --------------------------------------------------
 
 
@@ -255,18 +212,11 @@ def merge_documents(documents: Sequence[Dict[str, Any]]) -> Snapshot:
         # through whole, preserving top-level sections this version
         # doesn't know about instead of rebuilding from known keys.
         return dict(shards[0][1])
-    merged: Snapshot = {
+    return {
         "format": TELEMETRY_FORMAT,
         "metrics": _merge_metrics(shards),
         "records": list(iter_merged_records(shards)),
     }
-    sampling = _merge_sampling(shards)
-    if sampling is not None:
-        merged["sampling"] = sampling
-    exemplars = _merge_exemplars(shards)
-    if exemplars:
-        merged["exemplars"] = exemplars
-    return merged
 
 
 def write_merged_jsonl(
@@ -274,9 +224,9 @@ def write_merged_jsonl(
 ) -> int:
     """Stream the canonical merged JSONL without materialising records.
 
-    Metrics and exemplars merge eagerly (they are small); the record
-    stream interleaves lazily, so memory stays O(shards).  Returns the
-    number of lines written.
+    Metrics merge eagerly (they are small); the record stream
+    interleaves lazily, so memory stays O(shards).  Returns the number
+    of lines written.
     """
     from repro.obs.exporters import write_jsonl
 
@@ -291,12 +241,6 @@ def write_merged_jsonl(
         "format": TELEMETRY_FORMAT,
         "metrics": _merge_metrics(shards),
     }
-    sampling = _merge_sampling(shards)
-    if sampling is not None:
-        head["sampling"] = sampling
-    exemplars = _merge_exemplars(shards)
-    if exemplars:
-        head["exemplars"] = exemplars
     total = sum(len(snapshot.get("records", [])) for _sid, snapshot in shards)
     return write_jsonl(
         head,

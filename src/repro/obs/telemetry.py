@@ -17,8 +17,6 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.ringbuf import DEFAULT_RING_CAPACITY, RingBufferSink
-from repro.obs.sampling import TraceSampler
 from repro.obs.spans import SpanTracer
 from repro.simcore.trace import TraceLog, TraceRecord
 
@@ -174,23 +172,6 @@ class _NullSpanTracer:
         return 0
 
 
-class _NullRing:
-    """Sink facade staging nothing (``instrument=False`` runs)."""
-
-    __slots__ = ()
-    pending = False
-
-    def emit(self, t: float, component: str, kind: str, data: Dict[str, Any]) -> None:
-        """Discard a record."""
-
-    def count(self, name: str, amount: float = 1.0) -> None:
-        """Discard a delta."""
-
-    def flush(self) -> int:
-        """Nothing staged."""
-        return 0
-
-
 class Telemetry:
     """Metrics registry + span tracer + trace log for one run.
 
@@ -199,22 +180,15 @@ class Telemetry:
         trace: Existing log to share (the simulator passes its own so
             span records land next to component events); a fresh log is
             created when omitted.
-        ring_capacity: When set, a :class:`RingBufferSink` of this many
-            slots becomes the bundle's emission path (the simulator
-            always passes one; standalone bundles stay direct so their
-            snapshots carry no self-metering counters).
-        sample_rate: Keep roughly 1-in-N exchanges (needs a ring; see
-            :mod:`repro.obs.sampling` for the always-keep rules).
-        enabled: ``False`` swaps in no-op metrics/spans/ring so an
-            uninstrumented run measures the bare simulator cost.
+        enabled: ``False`` swaps in no-op metrics/spans and makes
+            :meth:`emit`/:meth:`count` discard, so an uninstrumented run
+            measures the bare simulator cost.
     """
 
     def __init__(
         self,
         now_fn: Callable[[], float],
         trace: Optional[TraceLog] = None,
-        ring_capacity: Optional[int] = None,
-        sample_rate: Optional[int] = None,
         enabled: bool = True,
     ) -> None:
         self.trace = trace if trace is not None else TraceLog()
@@ -224,27 +198,9 @@ class Telemetry:
         if not self.enabled:
             self.metrics: Any = _NullMetricsRegistry()
             self.spans: Any = _NullSpanTracer()
-            self.ring: Any = _NullRing()
-            self.sampler: Optional[TraceSampler] = None
             return
         self.metrics = MetricsRegistry()
-        if sample_rate is not None and sample_rate < 1:
-            raise ValueError("sample rate must be >= 1")
-        self.sampler = (
-            TraceSampler(sample_rate)
-            if sample_rate is not None and sample_rate > 1
-            else None
-        )
-        if ring_capacity is not None or self.sampler is not None:
-            self.ring = RingBufferSink(
-                self.trace,
-                self.metrics,
-                capacity=ring_capacity or DEFAULT_RING_CAPACITY,
-                sampler=self.sampler,
-            )
-        else:
-            self.ring = None
-        self.spans = SpanTracer(self.trace, now_fn, sink=self.ring)
+        self.spans = SpanTracer(self.trace, now_fn)
 
     @classmethod
     def standalone(cls, start: float = 0.0, step: float = 1.0) -> "Telemetry":
@@ -280,52 +236,33 @@ class Telemetry:
             now = self._clock.tick()
         return now
 
-    # -- hot-path emission --------------------------------------------------
+    # -- emission -----------------------------------------------------------
 
     def emit(self, t: float, component: str, kind: str, **data: Any) -> None:
-        """Record one trace event through the ring when one is attached.
-
-        This is the sanctioned emission path for hot-closure call
-        sites (OBS003): a sink-backed bundle stages the record (one
-        tuple store, sampled at flush); a direct bundle falls through
-        to the log.
-        """
-        ring = self.ring
-        if ring is not None:
-            ring.emit(t, component, kind, data)
-        else:
-            self.trace.emit(t, component, kind, **data)  # repro: noqa[OBS003]
+        """Append one trace record (discarded when ``enabled`` is False)."""
+        if self.enabled:
+            self.trace.append(TraceRecord(t, component, kind, data))
 
     def count(self, name: str, amount: float = 1.0) -> None:
-        """Batch a counter delta through the ring when one is attached."""
-        ring = self.ring
-        if ring is not None:
-            ring.count(name, amount)
-        else:
-            self.metrics.counter(name).inc(amount)  # repro: noqa[OBS003]
-
-    def observe_exemplar(self, name: str, value: float, ref: str = "") -> None:
-        """Offer a histogram observation to the sampler's reservoirs."""
-        sampler = self.sampler
-        if sampler is not None:
-            sampler.observe_exemplar(name, value, ref)
+        """Increment a counter (discarded when ``enabled`` is False)."""
+        self.metrics.counter(name).inc(amount)
 
     def flush(self) -> None:
-        """Drain any staged records/deltas into the log and registry."""
-        ring = self.ring
-        if ring is not None and ring.pending:
-            ring.flush()
+        """End-of-run hook; a no-op, since every emission lands at once.
+
+        Kept because the simulator's run loops call it at each exit and
+        the benchmark's traced leg probes it as the ``obs`` layer's
+        flush point.
+        """
 
     def iter_record_dicts(self) -> Iterator[Dict[str, Any]]:
         """Lazily yield JSON-ready records (the streaming export path)."""
-        self.flush()
         for record in self.trace:
             yield record_to_dict(record)
 
     def snapshot(self) -> Dict[str, Any]:
         """Freeze metrics and trace records into a plain dict."""
-        self.flush()
-        snap: Dict[str, Any] = {
+        return {
             "format": TELEMETRY_FORMAT,
             "metrics": self.metrics.snapshot(),
             # record_to_dict inlined and the payload dict aliased, not
@@ -343,17 +280,6 @@ class Telemetry:
                 for r in self.trace
             ],
         }
-        sampler = self.sampler
-        if sampler is not None:
-            snap["sampling"] = {
-                "rate": sampler.rate,
-                "kept": sampler.kept,
-                "dropped": sampler.dropped,
-            }
-            exemplars = sampler.exemplars_snapshot()
-            if exemplars:
-                snap["exemplars"] = exemplars
-        return snap
 
 
 def snapshot_span_kinds(snapshot: Dict[str, Any]) -> List[str]:

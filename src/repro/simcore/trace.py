@@ -14,11 +14,10 @@ from typing import Any, Dict, Iterator, List, Optional
 class TraceRecord:
     """One structured trace entry.
 
-    A plain ``__slots__`` class rather than a dataclass: the ring
-    buffer materialises thousands of records per run in its flush
-    batches, and the frozen-dataclass ``__init__`` (one
-    ``object.__setattr__`` per field) costs ~4x a direct slot store
-    on that path.  Records are treated as immutable by convention.
+    A plain ``__slots__`` class rather than a dataclass: a run builds
+    thousands of records, and the frozen-dataclass ``__init__`` (one
+    ``object.__setattr__`` per field) costs ~4x a direct slot store.
+    Records are treated as immutable by convention.
 
     Attributes:
         time: Virtual time of the event.
@@ -60,50 +59,26 @@ class TraceRecord:
 
 
 class TraceLog:
-    """Append-only in-memory log of :class:`TraceRecord` entries.
-
-    A staging *sink* (see :class:`repro.obs.ringbuf.RingBufferSink`) may
-    be attached; hot-path emitters then batch records in the sink and
-    the log drains it before any direct append or read, so the record
-    sequence observed by consumers is exactly the emission order with
-    or without a sink.
-    """
+    """Append-only in-memory log of :class:`TraceRecord` entries."""
 
     def __init__(self) -> None:
         self._records: List[TraceRecord] = []
-        self._sink: Optional[Any] = None
-
-    def attach_sink(self, sink: Any) -> None:
-        """Register a staging sink drained before every append/read."""
-        self._sink = sink
-
-    def _drain(self) -> None:
-        sink = self._sink
-        if sink is not None and sink.pending:
-            sink.flush()
 
     def __len__(self) -> int:
-        self._drain()
         return len(self._records)
 
     def __iter__(self) -> Iterator[TraceRecord]:
-        self._drain()
         return iter(self._records)
 
     def emit(self, time: float, component: str, kind: str, **data: Any) -> TraceRecord:
         """Append and return a new record."""
-        self._drain()
         record = TraceRecord(time=time, component=component, kind=kind, data=dict(data))
         self._records.append(record)
         return record
 
     def append(self, record: TraceRecord) -> None:
-        """Raw append used by the sink's batch flush (no drain, no copy)."""
+        """Append a prebuilt record as is (its payload is not copied)."""
         self._records.append(record)
-
-    def extend(self, records: List[TraceRecord]) -> None:
-        """Raw bulk append (sink flush path; no drain, no copy)."""
-        self._records.extend(records)
 
     def select(
         self, component: Optional[str] = None, kind: Optional[str] = None
@@ -126,7 +101,6 @@ class TraceLog:
             t0: Keep records with ``time >= t0``.
             t1: Keep records with ``time < t1``.
         """
-        self._drain()
         for rec in self._records:
             if component is not None and rec.component != component:
                 continue
@@ -154,7 +128,6 @@ class TraceLog:
 
     def components(self) -> List[str]:
         """Distinct emitting components, sorted."""
-        self._drain()
         return sorted({rec.component for rec in self._records})
 
     def kinds(self, component: Optional[str] = None) -> List[str]:
@@ -164,6 +137,5 @@ class TraceLog:
         )
 
     def clear(self) -> None:
-        """Drop all records (staged ones included)."""
-        self._drain()
+        """Drop all records."""
         self._records.clear()

@@ -9,7 +9,7 @@ forward-checked on load.
 from __future__ import annotations
 
 import json
-from typing import IO, Any, Dict
+from typing import IO, Any, Callable, Dict, List
 
 from repro.core.protocol import MntpPhase, MntpReport
 from repro.obs.explain import explain_run
@@ -49,21 +49,67 @@ def result_to_dict(result: ExperimentResult) -> Dict[str, Any]:
     return out
 
 
-def result_from_dict(data: Dict[str, Any]) -> ExperimentResult:
-    """Rebuild a result from :func:`result_to_dict` output."""
+def result_from_dict(data: Any) -> ExperimentResult:
+    """Rebuild a result from :func:`result_to_dict` output.
+
+    Raises:
+        ValueError: If ``data`` is not a JSON object of this format, or
+            a key is missing or holds a value of the wrong type; the
+            message names the offending key.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"expected a JSON object, got {type(data).__name__}")
     if data.get("format") != FORMAT:
         raise ValueError(f"not a {FORMAT} document")
     result = ExperimentResult(
-        duration=float(data["duration"]),
-        sntp_failures=int(data.get("sntp_failures", 0)),
+        duration=_field(data, "duration", float),
+        sntp_failures=_field(data, "sntp_failures", int, 0),
     )
-    result.sntp = [_point_from(d) for d in data.get("sntp", [])]
-    result.true_offsets = [_point_from(d) for d in data.get("true_offsets", [])]
-    result.mntp_reports = [_report_from(d) for d in data.get("mntp_reports", [])]
-    result.telemetry = data.get("telemetry")
-    result.explain = data.get("explain")
-    result.health = data.get("health")
+    result.sntp = _field(data, "sntp", _list_of(_point_from), [])
+    result.true_offsets = _field(data, "true_offsets", _list_of(_point_from), [])
+    result.mntp_reports = _field(data, "mntp_reports", _list_of(_report_from), [])
+    result.telemetry = _field(data, "telemetry", _object, None)
+    result.explain = _field(data, "explain", _object, None)
+    result.health = _field(data, "health", _object, None)
     return result
+
+
+_MISSING = object()
+
+
+def _field(data: Dict[str, Any], key: str, parse: Callable[[Any], Any],
+           default: Any = _MISSING) -> Any:
+    """``parse(data[key])``, or ``default`` when the key is absent.
+
+    Raises:
+        ValueError: Naming ``key`` when it is missing (and required) or
+            ``parse`` rejects its value.
+    """
+    if key not in data:
+        if default is _MISSING:
+            raise ValueError(f"missing key {key!r}")
+        return default
+    try:
+        return parse(data[key])
+    except KeyError as exc:
+        raise ValueError(f"bad {key!r}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"bad {key!r}: {exc}") from exc
+
+
+def _object(value: Any) -> Any:
+    if value is not None and not isinstance(value, dict):
+        raise TypeError(f"expected an object, got {type(value).__name__}")
+    return value
+
+
+def _list_of(parse: Callable[[Any], Any]) -> Callable[[Any], List[Any]]:
+    def parse_all(items: Any) -> List[Any]:
+        if not isinstance(items, list):
+            raise TypeError(f"expected a list, got {type(items).__name__}")
+        return [parse(item) for item in items]
+
+    return parse_all
 
 
 def save_result(result: ExperimentResult, fileobj: IO[str]) -> None:

@@ -10,7 +10,7 @@ the CLI, the benchmark and the matrix runner all load them.
 from __future__ import annotations
 
 import os
-from typing import List, Optional
+from typing import List
 
 from repro.testbed.experiment import ExperimentResult, ExperimentRunner
 from repro.testbed.specs import ScenarioSpec, iter_spec_files, load_spec
@@ -44,8 +44,6 @@ def load_scenario(name: str) -> ScenarioSpec:
 def run_scenario(
     name: str,
     seed: int = 0,
-    sample_rate: Optional[int] = None,
-    ring_capacity: Optional[int] = None,
     health_spec=None,
     on_health=None,
 ) -> ExperimentResult:
@@ -58,9 +56,6 @@ def run_scenario(
     Args:
         name: A spec file stem (see :func:`scenario_names`).
         seed: Root seed for the run.
-        sample_rate: Optional 1-in-N trace sampling (see
-            :mod:`repro.obs.sampling`).
-        ring_capacity: Optional telemetry ring-buffer size override.
         health_spec: Optional :class:`repro.obs.health.SloSpec`; attaches
             a streaming health monitor whose verdict lands on the
             result's ``health`` field.
@@ -78,8 +73,6 @@ def run_scenario(
         sntp_cadence=spec.cadence_s,
         run_sntp=spec.run_sntp,
         mntp_config=spec.mntp,
-        sample_rate=sample_rate,
-        ring_capacity=ring_capacity,
         health_spec=health_spec,
         on_health=on_health,
     )

@@ -445,8 +445,6 @@ class ScenarioSpec:
     def build_runner(
         self,
         seed: int = 0,
-        sample_rate: Optional[int] = None,
-        ring_capacity: Optional[int] = None,
         on_health: Optional[Callable[[Dict[str, Any]], None]] = None,
     ) -> ExperimentRunner:
         """An :class:`ExperimentRunner` for this spec, health-monitored
@@ -458,8 +456,6 @@ class ScenarioSpec:
             sntp_cadence=self.cadence_s,
             run_sntp=self.run_sntp,
             mntp_config=self.mntp,
-            sample_rate=sample_rate,
-            ring_capacity=ring_capacity,
             health_spec=self.guarantees,
             on_health=on_health,
         )
@@ -558,13 +554,8 @@ def judge_result(
 
 
 def run_spec(
-    spec: ScenarioSpec,
-    seed: int = 0,
-    sample_rate: Optional[int] = None,
-    ring_capacity: Optional[int] = None,
+    spec: ScenarioSpec, seed: int = 0
 ) -> Tuple[ExperimentResult, Dict[str, Any]]:
     """Run one spec and judge it; returns (result, judgement)."""
-    result = spec.build_runner(
-        seed=seed, sample_rate=sample_rate, ring_capacity=ring_capacity
-    ).run()
+    result = spec.build_runner(seed=seed).run()
     return result, judge_result(spec, result)

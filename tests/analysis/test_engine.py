@@ -22,9 +22,9 @@ KEPT_RULE_IDS = {
     "DET001", "DET002", "DET003", "DET004",
     "UNIT001", "UNIT002", "UNIT003", "UNIT004", "UNIT005",
     "COR001", "COR002", "COR003", "COR004", "COR005",
-    "OBS001", "OBS002", "OBS003", "OBS004",
+    "OBS001", "OBS002", "OBS004",
     "ROB001", "ROB002",
-    "RES001", "RES002", "RES003",
+    "RES001", "RES003",
 }
 
 #: The rule list of an inline noqa comment.

@@ -149,32 +149,10 @@ def test_content_id_stable_for_bare_snapshots():
     assert content_id(snapshot) != content_id(build_snapshot(3))
 
 
-def test_sampling_and_exemplars_merge():
-    def sampled(seed):
-        telemetry = Telemetry(
-            now_fn=lambda: 0.0, ring_capacity=8, sample_rate=4
-        )
-        for i in range(40):
-            telemetry.emit(
-                float(i), "mntp", "exchange", trace_id=f"tn-{seed}/{i}"
-            )
-            telemetry.observe_exemplar("lat_ms", float(i), ref=f"tn-{seed}/{i}")
-        return telemetry.snapshot()
-
-    shards = [make_shard(sampled(s), f"s{s}") for s in range(2)]
-    merged = merge_documents(shards)
-    sampling = merged["sampling"]
-    assert sampling["rate"] == 4
-    assert sampling["kept"] + sampling["dropped"] == 80
-    reservoir = merged["exemplars"]["lat_ms"]
-    assert reservoir["seen"] == 80
-    assert len(reservoir["entries"]) <= reservoir["capacity"]
-
-
 def test_stream_jsonl_matches_snapshot_export():
     from repro.obs import write_jsonl
 
-    telemetry = Telemetry(now_fn=lambda: 0.0, ring_capacity=8, sample_rate=2)
+    telemetry = Telemetry(now_fn=lambda: 0.0)
     for i in range(10):
         telemetry.emit(float(i), "mntp", "exchange", trace_id=f"tn-x/{i}")
         telemetry.count("x_total")

@@ -68,3 +68,38 @@ def test_snapshot_shape_and_helpers():
     assert snapshot_metric_names(snap) == ["a_total", "b_gauge"]
     assert snapshot_span_kinds(snap) == ["phase.one"]
     assert len(snap["records"]) == 1
+
+
+def test_every_emission_lands_at_once_in_call_order():
+    sim = Simulator(seed=0)
+    telemetry = sim.telemetry
+    sim.trace.emit(0.0, "net", "direct", i=0)
+    telemetry.emit(1.0, "mntp", "bundled", i=1)
+    span = telemetry.spans.begin("mntp.warmup", t=1.5)
+    sim.trace.emit(2.0, "net", "direct", i=2)
+    span.end(t=3.0)
+    telemetry.emit(3.5, "mntp", "bundled", i=3)
+    telemetry.count("x_total")
+    # Read before anything could flush: the increment is already there.
+    assert telemetry.metrics.value("x_total") == 1.0
+    assert [(r.time, r.component, r.kind) for r in sim.trace] == [
+        (0.0, "net", "direct"),
+        (1.0, "mntp", "bundled"),
+        (2.0, "net", "direct"),
+        (1.5, "span", "mntp.warmup"),
+        (3.5, "mntp", "bundled"),
+    ]
+    assert sim.trace.select(kind="mntp.warmup")[0].data == {
+        "t0": 1.5, "t1": 3.0, "dur": 1.5,
+    }
+
+
+def test_uninstrumented_bundle_discards_emissions():
+    sim = Simulator(seed=0, instrument=False)
+    telemetry = sim.telemetry
+    telemetry.emit(1.0, "mntp", "bundled")
+    telemetry.count("x_total")
+    telemetry.spans.begin("mntp.warmup").end()
+    sim.trace.emit(2.0, "net", "direct")
+    assert len(telemetry.metrics) == 0
+    assert [r.kind for r in sim.trace] == ["direct"]

@@ -268,79 +268,37 @@ def test_explain_missing_file(capsys):
     assert "cannot load" in capsys.readouterr().err
 
 
-# -- scale-out telemetry surface ------------------------------------------
+# -- malformed archives ----------------------------------------------------
 
 
-def test_run_with_sampling_and_ring_flags(tmp_path, capsys):
-    from repro.obs import load_jsonl
-
-    full = tmp_path / "full.jsonl"
-    sampled = tmp_path / "sampled.jsonl"
-    assert main(["--seed", "1", "run", "wired_corrected",
-                 "--telemetry", str(full)]) == 0
-    assert main(["--seed", "1", "run", "wired_corrected",
-                 "--sample-rate", "8", "--ring-capacity", "64",
-                 "--telemetry", str(sampled)]) == 0
-    capsys.readouterr()
-    with open(full) as f:
-        full_snap = load_jsonl(f)
-    with open(sampled) as f:
-        sampled_snap = load_jsonl(f)
-    assert len(sampled_snap["records"]) < len(full_snap["records"])
-    info = sampled_snap["sampling"]
-    assert info["rate"] == 8
-    # Cold-path records append directly (never offered to the sampler),
-    # so the snapshot holds the kept ones plus those.
-    assert info["kept"] <= len(sampled_snap["records"])
-    assert info["dropped"] > 0
-    # The sampled run self-meters its own telemetry cost.
-    names = {m["name"] for m in sampled_snap["metrics"]}
-    assert "obs_overhead_records_total" in names
-    # Sampling changes what is recorded, not what is simulated.
-    assert (
-        [m for m in sampled_snap["metrics"]
-         if m["name"] == "sntp_queries_total"]
-        == [m for m in full_snap["metrics"]
-            if m["name"] == "sntp_queries_total"]
-    )
+_ARCHIVE_COMMANDS = {
+    "replay": ["replay", "{p}"],
+    "explain": ["explain", "{p}"],
+    "health": ["health", "{p}"],
+    "trace": ["trace", "{p}"],
+    "metrics": ["metrics", "{p}"],
+    "diff": ["diff", "{p}", "{p}"],
+    "merge": ["metrics", "--merge", "{p}"],
+}
 
 
-def test_run_rejects_bad_sample_rate(capsys):
-    assert main(["run", "wired_corrected", "--sample-rate", "0"]) == 2
-    assert "sample rate" in capsys.readouterr().err
+@pytest.mark.parametrize("document, problem", [
+    ({"format": "mntp-experiment-v1"}, None),
+    ([1, 2], "expected a JSON object, got list"),
+], ids=["keyless-archive", "json-list"])
+@pytest.mark.parametrize("command", sorted(_ARCHIVE_COMMANDS))
+def test_malformed_archive_fails_cleanly(tmp_path, capsys, command, document, problem):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(document))
+    argv = [arg.format(p=path) for arg in _ARCHIVE_COMMANDS[command]]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"cannot load {path}: " in err
+    if problem is not None:
+        assert problem in err
 
 
-def test_trace_sample_rate_downsamples_deterministically(tmp_path, capsys):
-    run_path = tmp_path / "run.json"
-    assert main(["--seed", "1", "run", "wired_corrected",
-                 "--save", str(run_path)]) == 0
-    capsys.readouterr()
-    out_a = tmp_path / "a.jsonl"
-    out_b = tmp_path / "b.jsonl"
-    assert main(["trace", str(run_path), "--sample-rate", "4",
-                 "--jsonl", str(out_a), "--limit", "1"]) == 0
-    out = capsys.readouterr().out
-    assert "sampled 1-in-4" in out
-    assert main(["trace", str(run_path), "--sample-rate", "4",
-                 "--jsonl", str(out_b), "--limit", "1"]) == 0
-    capsys.readouterr()
-    assert out_a.read_bytes() == out_b.read_bytes()
-    full = tmp_path / "full.jsonl"
-    assert main(["trace", str(run_path), "--jsonl", str(full),
-                 "--limit", "1"]) == 0
-    capsys.readouterr()
-    assert len(out_a.read_text().splitlines()) < len(
-        full.read_text().splitlines()
-    )
-
-
-def test_trace_rejects_bad_sample_rate(tmp_path, capsys):
-    run_path = tmp_path / "run.json"
-    assert main(["--seed", "1", "run", "wired_corrected",
-                 "--save", str(run_path)]) == 0
-    capsys.readouterr()
-    assert main(["trace", str(run_path), "--sample-rate", "0"]) == 2
-    assert "sample rate" in capsys.readouterr().err
+# -- telemetry shard merge ---------------------------------------------------
 
 
 def test_metrics_merge_is_order_independent(tmp_path, capsys):

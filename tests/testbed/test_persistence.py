@@ -67,6 +67,22 @@ def test_wrong_format_rejected():
         result_from_dict({"format": "something-else"})
 
 
+def test_malformed_document_names_the_problem():
+    base = {"format": "mntp-experiment-v1", "duration": 1.0}
+    with pytest.raises(ValueError, match="expected a JSON object, got list"):
+        result_from_dict([1, 2])
+    with pytest.raises(ValueError, match="missing key 'duration'"):
+        result_from_dict({"format": "mntp-experiment-v1"})
+    with pytest.raises(ValueError, match="bad 'duration'"):
+        result_from_dict({**base, "duration": "soon"})
+    with pytest.raises(ValueError, match="bad 'sntp': missing key 'o'"):
+        result_from_dict({**base, "sntp": [{"t": 0.0}]})
+    with pytest.raises(ValueError, match="bad 'mntp_reports'"):
+        result_from_dict({**base, "mntp_reports": {"t": 0.0}})
+    with pytest.raises(ValueError, match="bad 'telemetry'"):
+        result_from_dict({**base, "telemetry": [1, 2]})
+
+
 def test_roundtrip_preserves_telemetry_payload(result):
     from repro.obs import snapshot_metric_names, snapshot_span_kinds
 
