@@ -58,9 +58,10 @@ if [[ "${1:-}" != "--fast" ]]; then
     python scripts/bench.py --smoke
 
     echo "== telemetry overhead gate (instrumented <= 15% over bare)"
-    # Median per-pair ratio over five interleaved instrumented/bare
-    # runs of the smoke scenario (health monitor attached); fails if
-    # the full telemetry stack costs more than 15%.
+    # Median per-pair ratio over nine interleaved instrumented/bare
+    # pairs of the smoke scenario (health monitor attached; the first
+    # leg alternates and one warm-up pair is discarded); fails if the
+    # full telemetry stack costs more than 15%.
     python scripts/obs_overhead.py
 
     echo "== scenario matrix gate (smoke tier)"

@@ -4,14 +4,17 @@
 Runs the profile smoke scenario (wireless + MNTP, 900 virtual seconds)
 with telemetry fully enabled (trace records, metrics, spans, and the
 streaming run-health monitor evaluating the default SLO spec)
-and with ``instrument=False`` (null facades), five interleaved pairs,
-and gates the **median of the per-pair ratios**.  Each bare run is
-immediately followed by its instrumented partner, so both sides of a
-pair see the same thermal/scheduler conditions; the median across
-pairs then discards the pairs where a noise burst hit one side only —
-markedly more stable than comparing min-of-N wall times on shared or
-frequency-scaled machines (the min estimator fails whenever one
-variant happens to draw all its runs from a disturbed interval)::
+and with ``instrument=False`` (null facades), nine interleaved pairs
+after one discarded warm-up pair, and gates the **median of the
+per-pair ratios**.  The two runs of a pair follow each other, so both
+sides see the same thermal/scheduler conditions, and the leg that runs
+first alternates from pair to pair, so neither leg always pays the
+cost of running first (cold caches, a frequency step) or always gets
+its benefit; the median across pairs then discards the pairs where a
+noise burst hit one side only — markedly more stable than comparing
+min-of-N wall times on shared or frequency-scaled machines (the min
+estimator fails whenever one variant happens to draw all its runs from
+a disturbed interval)::
 
     python scripts/obs_overhead.py                 # gate at 1.15
     python scripts/obs_overhead.py --ratio 1.25 --repeats 7
@@ -26,6 +29,7 @@ Exit codes: 0 within budget, 1 over budget or work mismatch, 2 usage.
 from __future__ import annotations
 
 import argparse
+import gc
 import statistics
 import sys
 import time
@@ -38,7 +42,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 SEED = 1
 DURATION_S = 900.0
 DEFAULT_RATIO = 1.15
-DEFAULT_REPEATS = 5
+DEFAULT_REPEATS = 9
 
 
 def _run_once(instrument: bool) -> Tuple[Tuple[int, int, int], float]:
@@ -61,6 +65,10 @@ def _run_once(instrument: bool) -> Tuple[Tuple[int, int, int], float]:
         instrument=instrument,
         health_spec=SloSpec() if instrument else None,
     )
+    # The previous run's simulator is cyclic garbage (its telemetry
+    # clock closes over it); collect it here so this run is not charged
+    # for freeing the other leg's records.
+    gc.collect()
     start = time.perf_counter()
     result = runner.run()
     wall = time.perf_counter() - start
@@ -74,9 +82,9 @@ def _parse_args(argv: Optional[List[str]]) -> argparse.Namespace:
                         help="maximum instrumented/bare wall-time ratio "
                         f"(default {DEFAULT_RATIO})")
     parser.add_argument("--repeats", type=int, default=DEFAULT_REPEATS,
-                        help="interleaved bare/instrumented pairs; the "
-                        "median per-pair ratio is gated "
-                        f"(default {DEFAULT_REPEATS})")
+                        help="interleaved bare/instrumented pairs, after "
+                        "one discarded warm-up pair; the median per-pair "
+                        f"ratio is gated (default {DEFAULT_REPEATS})")
     return parser.parse_args(argv)
 
 
@@ -89,14 +97,19 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     bare_times: List[float] = []
     inst_times: List[float] = []
-    bare_work = inst_work = None
-    for _ in range(args.repeats):
-        # Interleaved pairs so thermal / frequency drift hits both
-        # variants; each pair's ratio is one sample for the median.
-        bare_work, wall = _run_once(instrument=False)
-        bare_times.append(wall)
-        inst_work, wall = _run_once(instrument=True)
-        inst_times.append(wall)
+    works = {}
+    # Pair 0 warms imports and caches and is discarded.  Interleaved
+    # pairs so thermal / frequency drift hits both variants, with the
+    # first leg alternating; each pair's ratio is one sample for the
+    # median.
+    for pair in range(args.repeats + 1):
+        walls = {}
+        for instrument in ((False, True) if pair % 2 else (True, False)):
+            works[instrument], walls[instrument] = _run_once(instrument)
+        if pair:
+            bare_times.append(walls[False])
+            inst_times.append(walls[True])
+    bare_work, inst_work = works[False], works[True]
 
     if bare_work != inst_work:
         print(f"FAIL work mismatch: bare {bare_work} vs instrumented "

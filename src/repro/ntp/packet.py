@@ -29,13 +29,24 @@ from typing import Optional
 
 from repro.ntp.constants import LeapIndicator, Mode, NTP_HEADER_LEN, Version
 from repro.ntp.timestamps import (
-    ZERO_TIMESTAMP,
-    decode_short,
-    decode_timestamp,
-    encode_short,
-    encode_timestamp,
-    is_zero_timestamp,
+    short_seconds,
+    short_word,
+    timestamp_from_words,
+    timestamp_words,
 )
+
+#: The whole 48-byte header: first octet, stratum, poll, precision, root
+#: delay and dispersion words, reference id, then the four timestamps as
+#: (seconds, fraction) word pairs.
+_HEADER = struct.Struct("!BBbbII4s" + "II" * 4)
+assert _HEADER.size == NTP_HEADER_LEN
+
+#: Wire value -> enum member, built once so decode does no enum calls.
+_LEAPS = tuple(LeapIndicator(value) for value in range(4))
+_MODES = tuple(Mode(value) for value in range(8))
+
+#: Wire words of an unset (``None``) timestamp.
+_UNSET = (0, 0)
 
 
 @dataclass
@@ -114,29 +125,25 @@ class NtpPacket:
         first = (int(self.leap) & 0x3) << 6 | (int(self.version) & 0x7) << 3 | (
             int(self.mode) & 0x7
         )
-        head = struct.pack(
-            "!BBbb",
+        ref_id = self.ref_id
+        if len(ref_id) != 4:  # a "4s" field would silently pad or truncate
+            raise ValueError("ref_id must be exactly 4 bytes")
+        reference, origin, receive, transmit = (
+            self.reference_ts, self.origin_ts, self.receive_ts, self.transmit_ts
+        )
+        return _HEADER.pack(
             first,
             int(self.stratum),
             int(self.poll),
             int(self.precision),
+            short_word(self.root_delay),
+            short_word(self.root_dispersion),
+            ref_id,
+            *(_UNSET if reference is None else timestamp_words(reference)),
+            *(_UNSET if origin is None else timestamp_words(origin)),
+            *(_UNSET if receive is None else timestamp_words(receive)),
+            *(_UNSET if transmit is None else timestamp_words(transmit)),
         )
-        body = (
-            encode_short(self.root_delay)
-            + encode_short(self.root_dispersion)
-            + self.ref_id
-            + self._ts(self.reference_ts)
-            + self._ts(self.origin_ts)
-            + self._ts(self.receive_ts)
-            + self._ts(self.transmit_ts)
-        )
-        packet = head + body
-        assert len(packet) == NTP_HEADER_LEN
-        return packet
-
-    @staticmethod
-    def _ts(value: Optional[float]) -> bytes:
-        return ZERO_TIMESTAMP if value is None else encode_timestamp(value)
 
     @classmethod
     def decode(cls, data: bytes, pivot_unix: float = 0.0) -> "NtpPacket":
@@ -148,30 +155,32 @@ class NtpPacket:
         """
         if len(data) < NTP_HEADER_LEN:
             raise ValueError(f"NTP packet too short: {len(data)} bytes")
-        first, stratum, poll, precision = struct.unpack("!BBbb", data[:4])
-        leap = LeapIndicator((first >> 6) & 0x3)
-        version = (first >> 3) & 0x7
-        mode = Mode(first & 0x7)
-
-        def ts(chunk: bytes) -> Optional[float]:
-            if is_zero_timestamp(chunk):
-                return None
-            return decode_timestamp(chunk, pivot_unix=pivot_unix)
-
+        (
+            first, stratum, poll, precision, root_delay, root_dispersion, ref_id,
+            ref_s, ref_f, org_s, org_f, rec_s, rec_f, xmt_s, xmt_f,
+        ) = _HEADER.unpack_from(data)
         return cls(
-            leap=leap,
-            version=version,
-            mode=mode,
+            leap=_LEAPS[first >> 6],
+            version=(first >> 3) & 0x7,
+            mode=_MODES[first & 0x7],
             stratum=stratum,
             poll=poll,
             precision=precision,
-            root_delay=decode_short(data[4:8]),
-            root_dispersion=decode_short(data[8:12]),
-            ref_id=bytes(data[12:16]),
-            reference_ts=ts(data[16:24]),
-            origin_ts=ts(data[24:32]),
-            receive_ts=ts(data[32:40]),
-            transmit_ts=ts(data[40:48]),
+            root_delay=short_seconds(root_delay),
+            root_dispersion=short_seconds(root_dispersion),
+            ref_id=ref_id,
+            reference_ts=(
+                timestamp_from_words(ref_s, ref_f, pivot_unix) if ref_s or ref_f else None
+            ),
+            origin_ts=(
+                timestamp_from_words(org_s, org_f, pivot_unix) if org_s or org_f else None
+            ),
+            receive_ts=(
+                timestamp_from_words(rec_s, rec_f, pivot_unix) if rec_s or rec_f else None
+            ),
+            transmit_ts=(
+                timestamp_from_words(xmt_s, xmt_f, pivot_unix) if xmt_s or xmt_f else None
+            ),
         )
 
     # -- classification helpers (used by the log study) ---------------------------

@@ -141,9 +141,11 @@ class NtpServer:
         self.config = config
         self.send_reply = send_reply
         self._rng = sim.rng.stream(f"server:{config.name}")
-        # Trace component name, precomputed: on_datagram runs per packet
-        # and an f-string per ignored packet is per-event cost.
+        # Trace component name and reply-event label, precomputed:
+        # on_datagram runs per packet and an f-string per packet is
+        # per-event cost.
         self._component = f"server:{config.name}"
+        self._respond_label = f"{self._component}:respond"
         #: Transient fault flags, mutated by the fault injector at
         #: episode boundaries (all-zero in benign runs).
         self.faults = ServerFaultState()
@@ -198,7 +200,7 @@ class NtpServer:
         self._sim.call_after(
             delay,
             lambda: self._send_response(request, datagram, t2, span),
-            label=f"server:{self.config.name}:respond",
+            label=self._respond_label,
         )
 
     def _send_response(

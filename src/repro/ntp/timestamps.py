@@ -24,6 +24,8 @@ from repro.ntp.constants import NTP_UNIX_EPOCH_DELTA
 
 _TWO32 = 2**32
 _TWO16 = 2**16
+_TIMESTAMP = struct.Struct("!II")
+_SHORT = struct.Struct("!I")
 
 #: Special value meaning "unknown/unset" on the wire.
 ZERO_TIMESTAMP = b"\x00" * 8
@@ -39,6 +41,53 @@ def ntp_to_unix(ntp_seconds: float) -> float:
     return ntp_seconds - NTP_UNIX_EPOCH_DELTA
 
 
+def timestamp_words(unix_seconds: float) -> tuple[int, int]:
+    """The (seconds, fraction) wire words of an NTP timestamp.
+
+    The integer part is floored so negative fractions round correctly,
+    a fraction that rounds up to 2^32 carries into the seconds, and the
+    seconds wrap modulo 2^32 (the era).
+    """
+    ntp = unix_seconds + NTP_UNIX_EPOCH_DELTA
+    secs = int(ntp // 1)
+    frac = int(round((ntp - secs) * _TWO32))
+    if frac == _TWO32:  # rounding carried into the next second
+        secs += 1
+        frac = 0
+    return secs % _TWO32, frac
+
+
+def timestamp_from_words(secs: int, frac: int, pivot_unix: float = 0.0) -> float:
+    """Unix seconds of the NTP timestamp with wire words ``secs``/``frac``.
+
+    A non-zero ``pivot_unix`` resolves the 32-bit era ambiguity: the
+    result is the instant within +/- 2^31 seconds of the pivot.
+    """
+    unix = secs + frac / _TWO32 - NTP_UNIX_EPOCH_DELTA
+    if pivot_unix:
+        # Shift by whole eras until within half an era of the pivot.
+        while unix < pivot_unix - _TWO32 / 2:
+            unix += _TWO32
+        while unix > pivot_unix + _TWO32 / 2:
+            unix -= _TWO32
+    return unix
+
+
+def short_word(seconds: float) -> int:
+    """The 16.16 fixed-point wire word of a non-negative duration."""
+    if seconds < 0:
+        raise ValueError("short format encodes non-negative durations")
+    value = int(round(seconds * _TWO16))
+    if value >= _TWO32:
+        value = _TWO32 - 1  # saturate (~18.2 h), matching practice
+    return value
+
+
+def short_seconds(word: int) -> float:
+    """Seconds of a 16.16 fixed-point short-format wire word."""
+    return word / _TWO16
+
+
 def encode_timestamp(unix_seconds: float) -> bytes:
     """Encode Unix seconds as an 8-byte NTP timestamp.
 
@@ -46,13 +95,7 @@ def encode_timestamp(unix_seconds: float) -> bytes:
     encoding of exactly 0.0 Unix time yields the era-0 1970 instant, not
     the wire "unset" sentinel — use :data:`ZERO_TIMESTAMP` for unset.
     """
-    ntp = unix_to_ntp(unix_seconds)
-    secs = int(ntp // 1)
-    frac = int(round((ntp - secs) * _TWO32))
-    if frac == _TWO32:  # rounding carried into the next second
-        secs += 1
-        frac = 0
-    return struct.pack("!II", secs % _TWO32, frac)
+    return _TIMESTAMP.pack(*timestamp_words(unix_seconds))
 
 
 def decode_timestamp(data: bytes, pivot_unix: float = 0.0) -> float:
@@ -66,16 +109,8 @@ def decode_timestamp(data: bytes, pivot_unix: float = 0.0) -> float:
     """
     if len(data) != 8:
         raise ValueError(f"NTP timestamp must be 8 bytes, got {len(data)}")
-    secs, frac = struct.unpack("!II", data)
-    base = secs + frac / _TWO32
-    unix = ntp_to_unix(base)
-    if pivot_unix:
-        # Shift by whole eras until within half an era of the pivot.
-        while unix < pivot_unix - _TWO32 / 2:
-            unix += _TWO32
-        while unix > pivot_unix + _TWO32 / 2:
-            unix -= _TWO32
-    return unix
+    secs, frac = _TIMESTAMP.unpack(data)
+    return timestamp_from_words(secs, frac, pivot_unix)
 
 
 def is_zero_timestamp(data: bytes) -> bool:
@@ -85,17 +120,12 @@ def is_zero_timestamp(data: bytes) -> bool:
 
 def encode_short(seconds: float) -> bytes:
     """Encode a non-negative duration as 16.16 fixed-point short format."""
-    if seconds < 0:
-        raise ValueError("short format encodes non-negative durations")
-    value = int(round(seconds * _TWO16))
-    if value >= _TWO32:
-        value = _TWO32 - 1  # saturate (~18.2 h), matching practice
-    return struct.pack("!I", value)
+    return _SHORT.pack(short_word(seconds))
 
 
 def decode_short(data: bytes) -> float:
     """Decode a 4-byte short-format duration to seconds."""
     if len(data) != 4:
         raise ValueError(f"short format must be 4 bytes, got {len(data)}")
-    (value,) = struct.unpack("!I", data)
-    return value / _TWO16
+    (value,) = _SHORT.unpack(data)
+    return short_seconds(value)

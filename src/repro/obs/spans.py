@@ -82,10 +82,10 @@ class Span:
         if attrs:
             span_attrs.update(attrs)
         tracer._open.pop(id(self), None)
-        data = {"t0": t0, "t1": t1, "dur": t1 - t0}
-        if span_attrs:
-            data.update(span_attrs)
-        record = TraceRecord(t0, SPAN_COMPONENT, self.name, data)
+        record = TraceRecord(
+            t0, SPAN_COMPONENT, self.name,
+            {"t0": t0, "t1": t1, "dur": t1 - t0, **span_attrs},
+        )
         tracer.trace.append(record)
         return record
 

@@ -54,6 +54,7 @@ class SimProcess:
         self.name = name
         self.finished = False
         self._pending: Optional[Event] = None
+        self._label = f"proc:{name}"
 
     def _advance(self) -> None:
         if self.finished:
@@ -72,18 +73,18 @@ class SimProcess:
         delay = float(yielded)
         if delay < 0:
             raise ValueError(f"process {self.name!r} yielded negative delay {delay}")
-        self._pending = self._sim.call_after(delay, self._advance, label=f"proc:{self.name}")
+        self._pending = self._sim.call_after(delay, self._advance, label=self._label)
 
     def _wait_on(self, waiter: Waiter) -> None:
+        label = f"wait:{self.name}:{waiter.label}"
+
         def poll() -> None:
             if self.finished:
                 return
             if waiter.predicate(self._sim.now):
                 self._advance()
             else:
-                self._pending = self._sim.call_after(
-                    waiter.poll_interval, poll, label=f"wait:{self.name}:{waiter.label}"
-                )
+                self._pending = self._sim.call_after(waiter.poll_interval, poll, label=label)
 
         poll()
 
@@ -171,17 +172,34 @@ class Simulator:
         """Drain events with fire time <= ``end_time``; leave now = end_time."""
         if end_time < self.now:
             raise ValueError(f"end time {end_time} is before now {self.now}")
+        self._drain(end_time, "run_until", advance=True)
+
+    def run_for(self, duration: float) -> None:
+        """Advance virtual time by ``duration`` seconds."""
+        self.run_until(self.now + duration)
+
+    def run_to_completion(self, max_time: float = 1e12) -> None:
+        """Run until the event queue drains (bounded by ``max_time``)."""
+        self._drain(max_time, "run_to_completion", advance=False)
+
+    def _drain(self, horizon: float, mode: str, advance: bool) -> None:
+        """Fire events with fire time <= ``horizon`` until none is left
+        or :meth:`stop` is called, inside one ``sim.run`` span.
+
+        With ``advance`` a clean exit moves ``now`` up to ``horizon``
+        before the span closes.
+        """
         self._running = True
         executed = 0
-        span = self.telemetry.spans.begin("sim.run", mode="run_until")
+        span = self.telemetry.spans.begin("sim.run", mode=mode)
+        pop = self._queue.pop
         try:
             while self._running:
-                t = self._queue.peek_time()
-                if t is None or t > end_time:
+                event = pop(horizon)
+                if event is None:
                     break
-                event = self._queue.pop()
-                assert event is not None
-                self.now = max(self.now, event.time)
+                if event.time > self.now:
+                    self.now = event.time
                 event.callback()
                 executed += 1
         except BaseException:
@@ -193,36 +211,8 @@ class Simulator:
         finally:
             self._running = False
             self._events_total.inc(executed)
-        self.now = max(self.now, end_time)
-        span.end(events=executed)
-        self.telemetry.flush()
-
-    def run_for(self, duration: float) -> None:
-        """Advance virtual time by ``duration`` seconds."""
-        self.run_until(self.now + duration)
-
-    def run_to_completion(self, max_time: float = 1e12) -> None:
-        """Run until the event queue drains (bounded by ``max_time``)."""
-        self._running = True
-        executed = 0
-        span = self.telemetry.spans.begin("sim.run", mode="run_to_completion")
-        try:
-            while self._running:
-                t = self._queue.peek_time()
-                if t is None or t > max_time:
-                    break
-                event = self._queue.pop()
-                assert event is not None
-                self.now = max(self.now, event.time)
-                event.callback()
-                executed += 1
-        except BaseException:
-            span.end(events=executed, error=True)
-            self.telemetry.flush()
-            raise
-        finally:
-            self._running = False
-            self._events_total.inc(executed)
+        if advance:
+            self.now = max(self.now, horizon)
         span.end(events=executed)
         self.telemetry.flush()
 
